@@ -12,9 +12,15 @@ package nvramfs
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"nvramfs/internal/faults"
+	"nvramfs/internal/netmodel"
 )
 
 const benchScale = 0.2
@@ -251,6 +257,73 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		if _, err := StandardTrace(1, benchScale); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Per-layer microbenchmarks of the daemon's parked write-back path
+// (ROADMAP 1b): what a commit barrier costs per record as batches grow,
+// and what a delivery costs as the backlog behind it grows.
+
+// BenchmarkImageCommit appends parked-delivery-sized records in batches
+// of 1, 8 and 64. One iteration is one record; msyncs/record is 2 at
+// batch=1 and 2/n at batch=n.
+func BenchmarkImageCommit(b *testing.B) {
+	for _, batch := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			img, _, err := OpenImage(filepath.Join(b.TempDir(), "img"), ImageOptions{Capacity: 64 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer img.Close()
+			var key [8]byte
+			var payload [54]byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				img.Begin()
+				for n := 0; n < batch && i < b.N; n, i = n+1, i+1 {
+					// Keys recur, so the live set stays small however long
+					// the run and a compaction has little to rewrite.
+					binary.BigEndian.PutUint64(key[:], uint64(i%4096))
+					if err := img.Put(2, string(key[:]), payload[:]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := img.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			st := img.Stats()
+			b.ReportMetric(float64(st.Msyncs)/float64(st.Puts), "msyncs/record")
+		})
+	}
+}
+
+// BenchmarkInjectorDeliver times a clean delivery with 0, 1k and 32k
+// entries parked behind it, none of them due. The three must read the
+// same within noise: a delivery that walks the backlog to find nothing
+// due is the regression this guards against.
+func BenchmarkInjectorDeliver(b *testing.B) {
+	for _, backlog := range []int{0, 1000, 32000} {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			// A parked entry is due BackoffCap after it parked: never,
+			// on this benchmark's timeline.
+			x := faults.NewInjector(faults.Profile{Net: &netmodel.Params{}, BackoffCap: 1 << 50}, nil)
+			d := faults.Delivery{Client: 1, File: 7, Start: 0, End: 4096, Stable: true}
+			for i := 0; i < backlog; i++ {
+				x.Park(0, d)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.Deliver(int64(i), d)
+			}
+			b.StopTimer()
+			if st := x.Stats(); st.CommittedBytes != int64(b.N)*4096 || st.PendingBytes != int64(backlog)*4096 {
+				b.Fatalf("committed %d pending %d: the deliveries were not clean", st.CommittedBytes, st.PendingBytes)
+			}
+		})
 	}
 }
 

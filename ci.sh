@@ -30,6 +30,11 @@ fi
 # -race pass, which takes ~15 minutes on a 1-CPU box.
 go test -short ./...
 
+# The benchmark is a nested module (bench/go.mod, replace => ..) that the
+# ./... patterns above do not reach, and it compiles against internal
+# packages: build and test it here so an API change cannot break it unseen.
+(cd bench && go vet ./... && go test ./...)
+
 # Fault-injection gate: every fault-stage and degraded-mode test by name
 # (injector semantics, outage degradation per organization, crash
 # composition, determinism across worker counts), without the race

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,6 +249,14 @@ func New(cfg Config) (*Server, int, error) {
 // writeback is the single goroutine that owns the fault injector: it
 // executes delivery schedules against real time, services park requests,
 // and periodically drains redeliveries whose backoff has elapsed.
+//
+// Image commits are grouped: the delivery that wakes the loop and
+// everything already queued behind it run under one injector batch, so
+// they share one commit barrier. Nothing waits to fill a batch — its size
+// is whatever arrived during the previous commit — and the injector
+// commits on its own before any sleep that really blocks. The snapshot is
+// refreshed only between batches, so PendingStable never counts a record
+// whose commit mark is not yet synced.
 func (s *Server) writeback() {
 	defer close(s.wbDone)
 	tick := time.NewTicker(100 * time.Millisecond)
@@ -255,26 +264,55 @@ func (s *Server) writeback() {
 	for {
 		select {
 		case d := <-s.wbCh:
-			s.inj.Deliver(s.clk.Now(), d)
+			s.writeBatch(s.inj.Deliver, d)
 		case d := <-s.parkCh:
-			s.inj.Park(s.clk.Now(), d)
+			s.writeBatch(s.inj.Park, d)
 		case <-tick.C:
 			s.inj.Advance(s.clk.Now())
 			s.refreshSnapshot()
 		case <-s.wbStop:
 			// Shutdown: anything still queued parks (stable bytes
 			// durably; the clock is stopped so nothing sleeps).
-			for {
-				select {
-				case d := <-s.wbCh:
-					s.inj.Park(s.clk.Now(), d)
-				case d := <-s.parkCh:
-					s.inj.Park(s.clk.Now(), d)
-				default:
-					s.refreshSnapshot()
-					return
-				}
+			s.inj.Begin()
+			for len(s.wbCh)+len(s.parkCh) > 0 {
+				s.drainQueued(s.inj.Park)
 			}
+			s.inj.Commit()
+			s.refreshSnapshot()
+			return
+		}
+	}
+}
+
+// writeBatch handles the delivery that woke the loop and whatever is
+// queued behind it under one injector batch: one commit barrier.
+func (s *Server) writeBatch(first func(int64, faults.Delivery), d faults.Delivery) {
+	s.inj.Begin()
+	first(s.clk.Now(), d)
+	s.drainQueued(s.inj.Deliver)
+	s.inj.Commit()
+}
+
+// drainQueued hands the injector what is queued right now, without
+// blocking: write-backs to deliver (Deliver while serving, Park at
+// shutdown), park requests to Park. It takes no more than was queued when
+// it looked, so a batch stays bounded by the queues' capacities and
+// cannot starve the tick or the stop signal while producers keep up.
+func (s *Server) drainQueued(deliver func(int64, faults.Delivery)) {
+	// Yield once first: a handler that is runnable but has not run yet
+	// (the send that woke this goroutine put it ahead of them) gets to
+	// queue its write-backs into this batch instead of the next. A
+	// barrier costs hundreds of microseconds, the yield about one, and it
+	// waits for nobody: only goroutines already runnable run.
+	runtime.Gosched()
+	for n := len(s.wbCh) + len(s.parkCh); n > 0; n-- {
+		select {
+		case d := <-s.wbCh:
+			deliver(s.clk.Now(), d)
+		case d := <-s.parkCh:
+			s.inj.Park(s.clk.Now(), d)
+		default:
+			return
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"nvramfs/internal/cache"
 	"nvramfs/internal/faults"
 	"nvramfs/internal/netmodel"
+	"nvramfs/internal/nvram"
 	"nvramfs/internal/trace"
 )
 
@@ -445,4 +447,85 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// parkingConfig is testConfig with an image attached and a fault profile
+// under which every delivery ends up parked in it.
+func parkingConfig(t *testing.T, prof faults.Profile) (Config, *nvram.Image) {
+	t.Helper()
+	img, _, err := nvram.OpenImage(filepath.Join(t.TempDir(), "nvram.img"), nvram.ImageOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { img.Close() })
+	cfg := testConfig()
+	prof.Net = &netmodel.Params{}
+	cfg.Faults = prof
+	cfg.Image = img
+	return cfg, img
+}
+
+func stableDelivery(i int) faults.Delivery {
+	return faults.Delivery{Client: 1, File: uint64(i), Start: 0, End: 4096, Stable: true}
+}
+
+// checkGroupCommitted runs after Shutdown (which orders the write-back
+// goroutine's image use before ours, and adds one msync of its own): all
+// n deliveries are in the image, for fewer than the 2n msyncs that one
+// commit barrier per record would have cost.
+func checkGroupCommitted(t *testing.T, img *nvram.Image, n int) {
+	t.Helper()
+	parked, err := faults.RecoverParked(img)
+	if err != nil || len(parked) != n || img.Err() != nil {
+		t.Fatalf("image holds %d parked deliveries (err %v, image err %v), want %d", len(parked), err, img.Err(), n)
+	}
+	st := img.Stats()
+	if st.Puts != int64(n) || st.Msyncs-1 >= 2*st.Puts {
+		t.Fatalf("%d puts cost %d msyncs: the write-back loop did not share commit barriers", st.Puts, st.Msyncs-1)
+	}
+	t.Logf("%d puts, %d commit barriers", st.Puts, (st.Msyncs-1)/2)
+}
+
+// TestDaemonWritebackGroupCommit queues a burst behind the write-back
+// goroutine: what is queued while one barrier runs shares the next.
+func TestDaemonWritebackGroupCommit(t *testing.T) {
+	cfg, img := parkingConfig(t, faults.Profile{MaxAttempts: 1, Outages: []faults.Window{{Start: 0, End: faults.Never}}})
+	s, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cap(s.wbCh)
+	for i := 0; i < n; i++ {
+		s.wbCh <- stableDelivery(i)
+	}
+	waitFor(t, "burst parked", func() bool { return s.Snapshot().PendingStable == int64(n)*4096 })
+	s.Shutdown(time.Second)
+	checkGroupCommitted(t, img, n)
+}
+
+// TestDaemonShutdownParksQueuedResidue stops a daemon whose write-back
+// goroutine is asleep in a retry backoff with deliveries queued behind
+// it: the stopped clock aborts the schedule, and the sleeper and the
+// residue all park durably before Shutdown returns.
+func TestDaemonShutdownParksQueuedResidue(t *testing.T) {
+	cfg, img := parkingConfig(t, faults.Profile{DropRate: 1, MaxAttempts: 2, BackoffBase: 60_000_000, BackoffCap: 60_000_000})
+	s, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.wbCh <- stableDelivery(i)
+	}
+	done := make(chan struct{})
+	go func() {
+		s.Shutdown(100 * time.Millisecond)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not abort the backoff sleep")
+	}
+	checkGroupCommitted(t, img, n)
 }

@@ -20,15 +20,19 @@ import (
 // and reports whether it did: a virtual clock returns true immediately, a
 // wall clock waits in real time and returns false if it was stopped first
 // (daemon shutdown), letting the retry loop abort to the degradation path
-// instead of finishing a schedule nobody is waiting for.
+// instead of finishing a schedule nobody is waiting for. Waits reports
+// whether Sleep(t) would block at all, which is the injector's cue to
+// commit an open image batch first.
 type Clock interface {
 	Sleep(t int64) bool
+	Waits(t int64) bool
 }
 
 // virtualClock is the default: time is purely arithmetic, nothing waits.
 type virtualClock struct{}
 
 func (virtualClock) Sleep(int64) bool { return true }
+func (virtualClock) Waits(int64) bool { return false }
 
 // VirtualClock returns the arithmetic clock the simulators use. It is the
 // injector's default; SetClock(VirtualClock()) restores it.
@@ -75,6 +79,11 @@ func (c *WallClock) Sleep(t int64) bool {
 		case <-timer.C:
 		}
 	}
+}
+
+// Waits reports whether instant t is still ahead on a running clock.
+func (c *WallClock) Waits(t int64) bool {
+	return t > c.Now() && !c.Stopped()
 }
 
 // Stop aborts the current and all future Sleeps. Idempotent.

@@ -38,6 +38,28 @@ func (x *Injector) AttachImage(img *nvram.Image) {
 	x.img = img
 }
 
+// Begin opens a batch on the attached image (a no-op without one): the
+// parks and unparks of every call until the matching Commit share one
+// commit barrier. Deliver and Advance each run inside a batch of their
+// own, so a caller that never calls Begin sees every call durable on
+// return; an owner that has many deliveries in hand wraps them in one
+// batch and pays the barrier once. The injector still commits before any
+// sleep that really blocks, so a batch never waits on a retry schedule.
+func (x *Injector) Begin() {
+	if x.img != nil {
+		x.img.Begin()
+	}
+}
+
+// Commit closes the batch the matching Begin opened; the outermost one
+// returns once everything parked or unparked inside it is durable. Errors
+// latch in the image, as everywhere on this path.
+func (x *Injector) Commit() {
+	if x.img != nil {
+		x.img.Commit()
+	}
+}
+
 // parkedKey orders image entries by sequence number: big-endian so the
 // image's sorted-key iteration is seq order.
 func parkedKey(seq uint64) string {
@@ -46,8 +68,8 @@ func parkedKey(seq uint64) string {
 	return string(b[:])
 }
 
-func encodeParked(e pendingEntry) []byte {
-	b := make([]byte, parkedRecordLen)
+func encodeParked(e pendingEntry) [parkedRecordLen]byte {
+	var b [parkedRecordLen]byte
 	binary.LittleEndian.PutUint64(b[0:], e.d.Seq)
 	binary.LittleEndian.PutUint32(b[8:], e.d.Client)
 	binary.LittleEndian.PutUint64(b[12:], e.d.File)
@@ -82,7 +104,8 @@ func decodeParked(payload []byte) (ParkedDelivery, error) {
 // parkDurable and unparkDurable are the degrade/drain hooks.
 func (x *Injector) parkDurable(e pendingEntry) {
 	if x.img != nil && e.d.Stable {
-		x.img.Put(nvram.NSParked, parkedKey(e.d.Seq), encodeParked(e))
+		b := encodeParked(e)
+		x.img.Put(nvram.NSParked, parkedKey(e.d.Seq), b[:])
 	}
 }
 

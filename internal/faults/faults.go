@@ -165,14 +165,21 @@ type pendingEntry struct {
 // Injector routes write-backs through the fault schedule. Not safe for
 // concurrent use; each simulation run owns one.
 type Injector struct {
-	prof      Profile
-	net       netmodel.Params
-	rng       *rand.Rand
-	commit    CommitFunc
-	seq       uint64
-	pending   []pendingEntry
-	nvPending int64
-	stats     Stats
+	prof    Profile
+	net     netmodel.Params
+	rng     *rand.Rand
+	commit  CommitFunc
+	seq     uint64
+	pending []pendingEntry
+	// nextReady is the smallest readyAt in pending (Never when empty):
+	// Advance has nothing to do before it, and must not walk a backlog
+	// parked behind an outage once per delivery to find that out.
+	nextReady int64
+	// nvPending and volPending are the backlog's bytes by residence,
+	// maintained wherever pending changes (PendingBytes).
+	nvPending  int64
+	volPending int64
+	stats      Stats
 	// img, when set via AttachImage, durably mirrors the NVRAM-parked
 	// backlog (stable entries only) — see durable.go.
 	img *nvram.Image
@@ -196,11 +203,12 @@ func NewInjector(prof Profile, commit CommitFunc) *Injector {
 		net = *prof.Net
 	}
 	return &Injector{
-		prof:   prof,
-		net:    net,
-		rng:    rand.New(rand.NewSource(prof.Seed)),
-		commit: commit,
-		clock:  virtualClock{},
+		prof:      prof,
+		net:       net,
+		rng:       rand.New(rand.NewSource(prof.Seed)),
+		commit:    commit,
+		clock:     virtualClock{},
+		nextReady: Never,
 	}
 }
 
@@ -226,10 +234,7 @@ func (x *Injector) ClockAborts() int64 { return x.clockAborts }
 // in-flight backlog.
 func (x *Injector) Stats() Stats {
 	s := x.stats
-	s.PendingBytes = 0
-	for _, e := range x.pending {
-		s.PendingBytes += e.d.bytes()
-	}
+	s.PendingBytes = x.nvPending + x.volPending
 	return s
 }
 
@@ -238,14 +243,35 @@ func (x *Injector) Stats() Stats {
 // volatile portion exists only in the stalled writer's memory (a client
 // crash destroys it).
 func (x *Injector) PendingBytes() (stable, volatile int64) {
-	for _, e := range x.pending {
-		if e.d.Stable {
-			stable += e.d.bytes()
-		} else {
-			volatile += e.d.bytes()
+	return x.nvPending, x.volPending
+}
+
+// enqueue adds a delivery to the backlog and its accounting.
+func (x *Injector) enqueue(e pendingEntry) {
+	n := e.d.bytes()
+	if e.d.Stable {
+		x.nvPending += n
+		if x.nvPending > x.stats.NVRAMHighWater {
+			x.stats.NVRAMHighWater = x.nvPending
 		}
+	} else {
+		x.volPending += n
 	}
-	return stable, volatile
+	if e.readyAt < x.nextReady {
+		x.nextReady = e.readyAt
+	}
+	x.pending = append(x.pending, e)
+}
+
+// sleep elapses the clock to t. A sleep that will really block first
+// commits whatever the open batch has parked: an owner's batch may span
+// many deliveries, and none of them may wait for durability on a wire
+// wait or a retry backoff.
+func (x *Injector) sleep(t int64) bool {
+	if x.img != nil && x.clock.Waits(t) {
+		x.img.Flush()
+	}
+	return x.clock.Sleep(t)
 }
 
 func (x *Injector) applyCommit(now int64, d Delivery, replay bool) {
@@ -278,7 +304,13 @@ func (x *Injector) backoff(attempt int) int64 {
 // Draws happen in strict call order, so the schedule is a pure function
 // of (profile, delivery sequence).
 func (x *Injector) Deliver(now int64, d Delivery) {
-	x.Advance(now)
+	x.Begin()
+	x.deliver(now, d)
+	x.Commit()
+}
+
+func (x *Injector) deliver(now int64, d Delivery) {
+	x.advance(now)
 	n := d.bytes()
 	if n <= 0 {
 		return
@@ -299,7 +331,7 @@ func (x *Injector) Deliver(now int64, d Delivery) {
 			// Server down: the attempt times out after a full wire wait.
 			x.stats.OutageTries++
 			t += x.attemptUS(n)
-			if !x.clock.Sleep(t) {
+			if !x.sleep(t) {
 				x.abort(t, d, applied)
 				return
 			}
@@ -321,13 +353,13 @@ func (x *Injector) Deliver(now int64, d Delivery) {
 					x.applyCommit(t+lat, d, false)
 				}
 				t += lat
-				if !x.clock.Sleep(t) {
+				if !x.sleep(t) {
 					x.abort(t, d, applied)
 					return
 				}
 			} else {
 				t += lat
-				if !x.clock.Sleep(t) {
+				if !x.sleep(t) {
 					// The wire wait was interrupted mid-flight; the RPC
 					// never completed, so the bytes take the degradation
 					// path like any other failed attempt.
@@ -349,7 +381,7 @@ func (x *Injector) Deliver(now int64, d Delivery) {
 		}
 		if attempt < x.prof.MaxAttempts {
 			t += x.backoff(attempt)
-			if !x.clock.Sleep(t) {
+			if !x.sleep(t) {
 				x.abort(t, d, applied)
 				return
 			}
@@ -414,13 +446,7 @@ func (x *Injector) RestoreParked(now int64, entries []ParkedDelivery) {
 		x.stats.Deliveries++
 		x.stats.OfferedBytes += n
 		x.restoredBytes += n
-		if p.D.Stable {
-			x.nvPending += n
-			if x.nvPending > x.stats.NVRAMHighWater {
-				x.stats.NVRAMHighWater = x.nvPending
-			}
-		}
-		x.pending = append(x.pending, pendingEntry{d: p.D, readyAt: now, since: now})
+		x.enqueue(pendingEntry{d: p.D, readyAt: now, since: now})
 	}
 }
 
@@ -438,23 +464,24 @@ func (x *Injector) degrade(t int64, d Delivery) {
 	if w, down := x.prof.outageAt(t); down {
 		readyAt = w.End // Never for an unrecovering outage
 	}
-	if d.Stable {
-		x.nvPending += n
-		if x.nvPending > x.stats.NVRAMHighWater {
-			x.stats.NVRAMHighWater = x.nvPending
-		}
-	}
 	e := pendingEntry{d: d, readyAt: readyAt, since: t}
 	x.parkDurable(e)
-	x.pending = append(x.pending, e)
+	x.enqueue(e)
 }
 
 // Advance drains pending redeliveries whose time has come, pushing any
 // whose drain point lands inside a later outage to that outage's end.
 func (x *Injector) Advance(now int64) {
-	if len(x.pending) == 0 {
+	x.Begin()
+	x.advance(now)
+	x.Commit()
+}
+
+func (x *Injector) advance(now int64) {
+	if now < x.nextReady {
 		return
 	}
+	next := int64(Never)
 	kept := x.pending[:0]
 	for _, e := range x.pending {
 		for e.readyAt <= now {
@@ -465,6 +492,9 @@ func (x *Injector) Advance(now int64) {
 			e.readyAt = w.End
 		}
 		if e.readyAt > now {
+			if e.readyAt < next {
+				next = e.readyAt
+			}
 			kept = append(kept, e)
 			continue
 		}
@@ -475,11 +505,13 @@ func (x *Injector) Advance(now int64) {
 			x.nvPending -= n
 			x.unparkDurable(e.d)
 		} else {
+			x.volPending -= n
 			x.stats.StallUS += e.readyAt - e.since
 		}
 		x.applyCommit(e.readyAt, e.d, false)
 	}
 	x.pending = kept
+	x.nextReady = next
 }
 
 // Close ends the trace at the given time: drainable entries drain, and
@@ -488,7 +520,6 @@ func (x *Injector) Advance(now int64) {
 func (x *Injector) Close(end int64) {
 	x.Advance(end)
 	for _, e := range x.pending {
-		x.stats.PendingBytes += e.d.bytes()
 		if !e.d.Stable && end > e.since {
 			x.stats.StallUS += end - e.since
 		}

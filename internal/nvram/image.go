@@ -27,14 +27,20 @@ package nvram
 //	u8  commit    0xC1 once the record is committed
 //	    zero padding to the next 8-byte boundary
 //
-// Commit protocol (the crash-consistency core): the record is written with
-// commit = 0 and msync'd, then the commit byte is set and msync'd. A
-// record is durable if and only if its commit byte reached the file — a
-// crash between the two syncs leaves a fully written but uncommitted
-// record, and a crash mid-write leaves a torn one; reopen discards either
-// (bad CRC, missing commit mark, or out-of-sequence seq) along with
-// everything after it, exactly the "write payload → sync → commit marker"
-// discipline the write-ahead-log literature prescribes.
+// Commit protocol (the crash-consistency core): records are written with
+// commit = 0; a commit barrier msyncs every record appended since the last
+// barrier, then sets their commit bytes and msyncs those. A record is
+// durable if and only if its commit byte reached the file — a crash
+// between the two syncs leaves fully written but uncommitted records, and
+// a crash mid-write leaves a torn one; reopen discards either (bad CRC,
+// missing commit mark, or out-of-sequence seq) along with everything
+// after it, exactly the "write payload → sync → commit marker" discipline
+// the write-ahead-log literature prescribes. The barrier runs once per
+// batch (Begin/Commit); a Put, Delete or ClearNamespace outside a batch
+// is a batch of one. A crash inside a batch therefore reopens to a prefix
+// of it, and reopen zeroes the whole discarded tail so that a committed
+// record stranded behind the break can never be replayed after a later
+// append fills the gap (DESIGN.md §11).
 //
 // When an append does not fit, the live set is compacted into a fresh
 // image file (grown as needed) written beside the original and atomically
@@ -164,14 +170,20 @@ type Image struct {
 	capacity   int64
 	generation uint64
 	off        int64 // append offset
-	seq        uint64
-	live       map[string][]byte // ns-prefixed key -> payload
-	liveBytes  int64             // log bytes needed to rewrite the live set
-	lock       *os.File          // exclusive sidecar flock, held until Close
-	shadow     []byte
-	err        error
-	closed     bool
-	stats      ImageStats
+	// pending is the offset of the first appended record whose commit
+	// mark is still owed (== off when there is none); depth counts the
+	// open Begin calls.
+	pending   int64
+	depth     int
+	page      int64 // msync granularity
+	seq       uint64
+	live      map[string][]byte // ns-prefixed key -> payload
+	liveBytes int64             // log bytes needed to rewrite the live set
+	lock      *os.File          // exclusive sidecar flock, held until Close
+	shadow    []byte
+	err       error
+	closed    bool
+	stats     ImageStats
 }
 
 // recordSize is the padded log footprint of a record.
@@ -256,6 +268,7 @@ func openImageLocked(path string, opts ImageOptions) (*Image, *ImageRecovery, er
 		m:        m,
 		capacity: capacity,
 		off:      headerSize,
+		page:     int64(os.Getpagesize()),
 		live:     make(map[string][]byte),
 	}
 	info := &ImageRecovery{}
@@ -282,6 +295,7 @@ func openImageLocked(path string, opts ImageOptions) (*Image, *ImageRecovery, er
 			return nil, nil, fmt.Errorf("nvram: %s: %w", path, err)
 		}
 	}
+	im.pending = im.off
 	if opts.TrackShadow {
 		im.shadow = append([]byte(nil), b...)
 	}
@@ -361,13 +375,13 @@ func (im *Image) replayLog(info *ImageRecovery) error {
 		if recFixed+keyLen+payloadLen != body {
 			break
 		}
-		key := string(b[off+20 : off+20+keyLen])
+		ck := compositeKey(ns, string(b[off+20:off+20+keyLen]))
 		switch kind {
 		case recPut:
 			payload := append([]byte(nil), b[off+20+keyLen:off+20+keyLen+payloadLen]...)
-			im.applyPut(ns, key, payload)
+			im.applyPut(ck, payload)
 		case recDelete:
-			im.applyDelete(ns, key)
+			im.applyDelete(ck)
 		case recClear:
 			im.applyClear(ns)
 		default:
@@ -381,8 +395,13 @@ func (im *Image) replayLog(info *ImageRecovery) error {
 	im.off = off
 
 	// Anything non-zero past the last committed record is un-replayable
-	// tail; zero its length prefix so the next scan (and the next append)
-	// sees a clean end of log even if this process also dies.
+	// tail; zero all of it so the next scan (and the next append) sees a
+	// clean end of log even if this process also dies. All of it, not just
+	// the length prefix at off: a batch torn in phase 2 can leave record k
+	// unmarked and k+1 marked, and a marked k+1 left in place would rejoin
+	// the log as soon as a new record of k's size fills the gap. A crash
+	// mid-zeroing is harmless — nothing is appended until the zeros are
+	// synced, and the next open starts over from the same off.
 	var tail int64
 	for i := im.capacity - 1; i >= off; i-- {
 		if b[i] != 0 {
@@ -392,29 +411,26 @@ func (im *Image) replayLog(info *ImageRecovery) error {
 	}
 	info.DiscardedTailBytes = tail
 	if tail > 0 {
-		for i := off; i < off+4; i++ {
-			b[i] = 0
-		}
-		if err := im.msync(off, off+4); err != nil {
+		clear(b[off : off+tail])
+		if err := im.msync(off, off+tail); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (im *Image) applyPut(ns byte, key string, payload []byte) {
-	ck := compositeKey(ns, key)
+// applyPut and applyDelete take the composite (namespace-prefixed) key.
+func (im *Image) applyPut(ck string, payload []byte) {
 	if old, ok := im.live[ck]; ok {
-		im.liveBytes -= recordSize(len(key), len(old))
+		im.liveBytes -= recordSize(len(ck)-1, len(old))
 	}
 	im.live[ck] = payload
-	im.liveBytes += recordSize(len(key), len(payload))
+	im.liveBytes += recordSize(len(ck)-1, len(payload))
 }
 
-func (im *Image) applyDelete(ns byte, key string) {
-	ck := compositeKey(ns, key)
+func (im *Image) applyDelete(ck string) {
 	if old, ok := im.live[ck]; ok {
-		im.liveBytes -= recordSize(len(key), len(old))
+		im.liveBytes -= recordSize(len(ck)-1, len(old))
 		delete(im.live, ck)
 	}
 }
@@ -441,28 +457,101 @@ func (im *Image) fail(err error) error {
 // Err returns the first write or sync error the image has hit, if any.
 func (im *Image) Err() error { return im.err }
 
+// msync makes [off, end) durable. The start is widened down to the page
+// boundary msync needs, here rather than in the platform code, so the
+// shadow records exactly the range the platform was asked to sync.
 func (im *Image) msync(off, end int64) error {
+	off &^= im.page - 1
 	start := time.Now()
 	err := im.m.sync(off, end)
 	im.stats.Msyncs++
 	im.stats.MsyncNanos += time.Since(start).Nanoseconds()
 	if err == nil && im.shadow != nil {
-		// Widen to the page boundary exactly as the platform sync does, so
-		// the shadow never claims less durability than the file has.
 		copy(im.shadow[off:end], im.m.bytes()[off:end])
 	}
 	return err
 }
 
-// appendRecord runs the two-phase commit for one record and returns its
-// committed status.
-func (im *Image) appendRecord(kind, ns byte, key string, payload []byte) error {
+// Begin opens a batch: records appended until the matching Commit share
+// one commit barrier instead of paying one each. Batches nest, and only
+// the outermost Commit runs the barrier, so a layer can batch its own
+// entry points and still be batched by its caller. Reads (Get, ForEach,
+// Len) see a batch's records as soon as they are appended; a crash sees
+// only a prefix of them until Commit returns.
+func (im *Image) Begin() { im.depth++ }
+
+// Commit closes the batch the matching Begin opened; the outermost one
+// returns once every record appended inside it is durable (see Flush).
+func (im *Image) Commit() error {
+	im.depth--
+	if im.depth > 0 {
+		return im.err
+	}
+	return im.Flush()
+}
+
+// Flush runs the commit barrier now, batch open or not, over every record
+// appended since the last barrier: one msync over their bodies, then
+// every commit mark, then one msync over the marks. It is the only place
+// a record becomes durable. An owner of a long batch calls it before it
+// blocks on anything, so nothing waits for durability on something other
+// than the barrier itself.
+func (im *Image) Flush() error {
 	if im.closed {
 		return errImageClosed
 	}
 	if im.err != nil {
 		return im.err
 	}
+	from, to := im.pending, im.off
+	if from == to {
+		return nil
+	}
+	// Phase 1: every record body must be durable before any commit mark.
+	if err := im.msync(from, to); err != nil {
+		return im.fail(err)
+	}
+	// Phase 2: the commit marks make them real. Pages reach the file in
+	// any order, so a crash here keeps an arbitrary subset of the marks;
+	// replay stops at the first one missing, which leaves a prefix.
+	first, last := im.setMarks(from, to, commitMark)
+	if err := im.msync(first, last+1); err != nil {
+		// The caller is about to be told the batch failed: take the marks
+		// back so a reopen of whatever the kernel still holds agrees.
+		im.setMarks(from, to, 0)
+		return im.fail(err)
+	}
+	im.pending = to
+	return nil
+}
+
+// setMarks writes mark into the commit byte of every record in [from, to)
+// and returns the offsets of the first and last one.
+func (im *Image) setMarks(from, to int64, mark byte) (first, last int64) {
+	b := im.m.bytes()
+	first = -1
+	for o := from; o < to; {
+		body := int64(binary.LittleEndian.Uint32(b[o:]))
+		last = o + 4 + body + 4
+		if first < 0 {
+			first = last
+		}
+		b[last] = mark
+		o += (recOverhead + body + 7) &^ 7
+	}
+	return first, last
+}
+
+// appendRecord writes one record, commit mark clear, under the composite
+// key ck (namespace byte, then key). Outside a batch it commits at once.
+func (im *Image) appendRecord(kind byte, ck string, payload []byte) error {
+	if im.closed {
+		return errImageClosed
+	}
+	if im.err != nil {
+		return im.err
+	}
+	key := ck[1:]
 	if len(key) >= maxKeyLen {
 		return im.fail(fmt.Errorf("nvram: key length %d exceeds %d", len(key), maxKeyLen-1))
 	}
@@ -471,6 +560,12 @@ func (im *Image) appendRecord(kind, ns byte, key string, payload []byte) error {
 	}
 	need := recordSize(len(key), len(payload))
 	if im.off+need > im.capacity {
+		// Compaction replaces the file and the mapping. Commit what the
+		// batch has appended so far first: the rewrite then carries those
+		// records over as committed, and no mark is owed to the old file.
+		if err := im.Flush(); err != nil {
+			return err
+		}
 		if err := im.compact(need); err != nil {
 			return im.fail(err)
 		}
@@ -481,62 +576,57 @@ func (im *Image) appendRecord(kind, ns byte, key string, payload []byte) error {
 	binary.LittleEndian.PutUint32(b[o:], uint32(body))
 	binary.LittleEndian.PutUint64(b[o+4:], im.seq+1)
 	b[o+12] = kind
-	b[o+13] = ns
+	b[o+13] = ck[0]
 	binary.LittleEndian.PutUint16(b[o+14:], uint16(len(key)))
 	binary.LittleEndian.PutUint32(b[o+16:], uint32(len(payload)))
 	copy(b[o+20:], key)
 	copy(b[o+20+int64(len(key)):], payload)
 	crcOff := o + 4 + body
 	binary.LittleEndian.PutUint32(b[crcOff:], crc32.ChecksumIEEE(b[o:crcOff]))
-	for i := crcOff + 4; i < o+need; i++ {
-		b[i] = 0 // commit byte and padding
-	}
-	// Phase 1: the record body must be durable before the commit mark.
-	if err := im.msync(o, o+need); err != nil {
-		return im.fail(err)
-	}
-	// Phase 2: the commit mark makes it real.
-	b[crcOff+4] = commitMark
-	if err := im.msync(crcOff+4, crcOff+5); err != nil {
-		return im.fail(err)
-	}
+	clear(b[crcOff+4 : o+need]) // commit byte and padding
 	im.seq++
 	im.off += need
 	im.stats.Records++
 	im.stats.AppendedBytes += need
+	if im.depth == 0 {
+		return im.Flush()
+	}
 	return nil
 }
 
-// Put durably stores key -> payload in the namespace. It returns only
-// after the record's commit mark is synced; payload is copied.
+// Put stores key -> payload in the namespace; payload is copied. Outside a
+// batch it returns only after the record's commit mark is synced; inside
+// one, the record is durable once the batch commits.
 func (im *Image) Put(ns byte, key string, payload []byte) error {
-	if err := im.appendRecord(recPut, ns, key, payload); err != nil {
+	ck := compositeKey(ns, key)
+	if err := im.appendRecord(recPut, ck, payload); err != nil {
 		return err
 	}
-	im.applyPut(ns, key, append([]byte(nil), payload...))
+	im.applyPut(ck, append([]byte(nil), payload...))
 	im.stats.Puts++
 	return nil
 }
 
-// Delete durably removes a key; deleting an absent key is a no-op (no
-// record is spent on it).
+// Delete removes a key, durably on the same terms as Put; deleting an
+// absent key is a no-op (no record is spent on it).
 func (im *Image) Delete(ns byte, key string) error {
 	if im.closed {
 		return errImageClosed
 	}
-	if _, ok := im.live[compositeKey(ns, key)]; !ok {
+	ck := compositeKey(ns, key)
+	if _, ok := im.live[ck]; !ok {
 		return im.err
 	}
-	if err := im.appendRecord(recDelete, ns, key, nil); err != nil {
+	if err := im.appendRecord(recDelete, ck, nil); err != nil {
 		return err
 	}
-	im.applyDelete(ns, key)
+	im.applyDelete(ck)
 	im.stats.Deletes++
 	return nil
 }
 
-// ClearNamespace durably removes every key in the namespace with a single
-// record (a dead-battery store losing its non-volatile region).
+// ClearNamespace removes every key in the namespace with a single record
+// (a dead-battery store losing its non-volatile region).
 func (im *Image) ClearNamespace(ns byte) error {
 	if im.closed {
 		return errImageClosed
@@ -544,7 +634,7 @@ func (im *Image) ClearNamespace(ns byte) error {
 	if im.Len(ns) == 0 {
 		return im.err
 	}
-	if err := im.appendRecord(recClear, ns, "", nil); err != nil {
+	if err := im.appendRecord(recClear, compositeKey(ns, ""), nil); err != nil {
 		return err
 	}
 	im.applyClear(ns)
@@ -662,6 +752,7 @@ func (im *Image) compact(extraNeed int64) error {
 	im.capacity = newCap
 	im.generation++
 	im.off = int64(len(w.buf))
+	im.pending = im.off
 	im.seq = uint64(len(keys))
 	im.stats.Compactions++
 	if im.shadow != nil {
@@ -705,7 +796,7 @@ func (w *imageWriter) record(kind, ns byte, key string, payload []byte) {
 }
 
 // Sync forces the whole image durable (a graceful shutdown barrier; every
-// Put/Delete already synced itself).
+// committed batch already synced itself).
 func (im *Image) Sync() error {
 	if im.closed {
 		return errImageClosed
@@ -716,13 +807,17 @@ func (im *Image) Sync() error {
 	return nil
 }
 
-// Close syncs and unmaps the image. The Image is unusable afterwards.
+// Close commits anything a batch left open, syncs and unmaps the image.
+// The Image is unusable afterwards.
 func (im *Image) Close() error {
 	if im.closed {
 		return nil
 	}
+	err := im.Flush()
 	im.closed = true
-	err := im.m.close()
+	if cerr := im.m.close(); err == nil {
+		err = cerr
+	}
 	if lerr := releaseLock(im.lock); err == nil {
 		err = lerr
 	}

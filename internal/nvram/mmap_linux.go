@@ -16,7 +16,6 @@ import (
 type mmapMapping struct {
 	f    *os.File
 	data []byte
-	page int64
 }
 
 func openMapping(f *os.File, size int64) (mapping, error) {
@@ -25,20 +24,18 @@ func openMapping(f *os.File, size int64) (mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mmapMapping{f: f, data: data, page: int64(os.Getpagesize())}, nil
+	return &mmapMapping{f: f, data: data}, nil
 }
 
 func (m *mmapMapping) bytes() []byte { return m.data }
 
 // sync makes [off, end) of the mapping durable. msync requires a
-// page-aligned start address, so the range is widened down to the page
-// boundary (widening is harmless: it only syncs more).
+// page-aligned start address: Image.msync widens off down to one.
 func (m *mmapMapping) sync(off, end int64) error {
 	if end <= off {
 		return nil
 	}
-	start := off &^ (m.page - 1)
-	b := m.data[start:end]
+	b := m.data[off:end]
 	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
 		uintptr(unsafe.Pointer(&b[0])), uintptr(len(b)), uintptr(syscall.MS_SYNC))
 	if errno != 0 {
