@@ -35,6 +35,17 @@ go test -short ./...
 # packages: build and test it here so an API change cannot break it unseen.
 (cd bench && go vet ./... && go test ./...)
 
+# And run it, briefly: the live workloads exit non-zero on any broken
+# conservation, corpse-image, RECOVERED= or zero-records check, and a change
+# that breaks one should fail here, not as a rejected benchmark run. About
+# 12 s in all; the benchmark refuses to run on fewer than two CPUs.
+if [ "$(nproc)" -ge 2 ]; then
+	for w in daemon_park daemon_mix daemon_open; do
+		bash bench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0
+	done
+	bash bench/run.sh --workload daemon_park --seed 1 --seconds 2 --trace 1
+fi
+
 # Fault-injection gate: every fault-stage and degraded-mode test by name
 # (injector semantics, outage degradation per organization, crash
 # composition, determinism across worker counts), without the race

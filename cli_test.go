@@ -1,11 +1,20 @@
 package nvramfs_test
 
 import (
+	"bufio"
+	"bytes"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"nvramfs/internal/daemon"
+	"nvramfs/internal/trace"
 )
 
 // TestCLI builds the four command-line tools and drives them end to end:
@@ -146,5 +155,87 @@ func TestCLI(t *testing.T) {
 	}
 	if !strings.Contains(string(badOut), "bogus") || !strings.Contains(string(badOut), "fig2") {
 		t.Fatalf("nvreport -exp bogus output should name the bad and valid experiments:\n%s", badOut)
+	}
+}
+
+// TestNvramdRunsOnTwoPs starts the built daemon the way a one-CPU
+// confinement would have the runtime size it (GOMAXPROCS=1 in the
+// environment) and requires that it raised itself to two Ps anyway — the
+// write-back goroutine's msync barrier needs a P the handlers are not
+// waiting for — then that it serves and drains cleanly on SIGTERM.
+func TestNvramdRunsOnTwoPs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "nvramd")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/nvramd").CombinedOutput(); err != nil {
+		t.Fatalf("building nvramd: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-metrics", "127.0.0.1:0", "-dir", filepath.Join(dir, "state"))
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill() // no-op once it has exited
+
+	// RECOVERED=, ADDR= and METRICS= arrive in that order.
+	var addr, metricsURL string
+	for sc := bufio.NewScanner(stdout); metricsURL == "" && sc.Scan(); {
+		if v, ok := strings.CutPrefix(sc.Text(), "ADDR="); ok {
+			addr = v
+		}
+		if v, ok := strings.CutPrefix(sc.Text(), "METRICS="); ok {
+			metricsURL = v
+		}
+	}
+	if addr == "" || metricsURL == "" {
+		t.Fatalf("nvramd announced ADDR=%q METRICS=%q\n%s", addr, metricsURL, stderr.String())
+	}
+
+	resp, err := http.Get(metricsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\nnvramd_gomaxprocs 2\n") {
+		t.Fatalf("/metrics does not report nvramd_gomaxprocs 2 under GOMAXPROCS=1:\n%s", body)
+	}
+
+	c, err := daemon.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Send(trace.Event{Op: trace.OpWrite, Client: 1, File: 1, Length: 4096}); err != nil || st != daemon.StatusOK {
+		t.Fatalf("write: status %v, err %v", st, err)
+	}
+	snap, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.RequestsOK != 1 || snap.GOMAXPROCS != 2 {
+		t.Fatalf("stats frame: RequestsOK=%d GOMAXPROCS=%d, want 1 and 2", snap.RequestsOK, snap.GOMAXPROCS)
+	}
+	c.Close()
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, stdout)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("nvramd after SIGTERM: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "drained: ok=1") {
+		t.Fatalf("no clean drain report:\n%s", stderr.String())
 	}
 }

@@ -20,6 +20,10 @@
 //
 // Load it with `nvtrace -replay` and scrape the Prometheus text endpoint
 // for throughput, latency quantiles, and the conservation-law counters.
+//
+// The process never runs with fewer than two Ps (see main): the write-back
+// goroutine spends its life blocked in msync, and the connection handlers
+// must keep reading frames meanwhile.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -59,6 +64,16 @@ func parseOrg(name string) (cache.ModelKind, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nvramd: ")
+	// Start-up policy, not a setting: exactly one goroutine of this process
+	// lives in the kernel (the write-back goroutine, in Image.Flush's two
+	// msyncs and compaction's fsync and rename), and with a single P it
+	// holds that P through each barrier until the runtime's monitor thread
+	// notices, so no handler reads a frame while a batch commits. A second
+	// P lets the handlers run during the barrier even when the process is
+	// confined to one CPU. See DESIGN.md section 13, "Threading model".
+	if runtime.GOMAXPROCS(0) < 2 {
+		runtime.GOMAXPROCS(2)
+	}
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7343", "TCP listen address (port 0 picks a free port)")
 		metrics   = flag.String("metrics", "", "serve Prometheus text metrics at this address's /metrics ('' = off)")

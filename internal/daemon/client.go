@@ -14,7 +14,8 @@ import (
 type Client struct {
 	conn    net.Conn
 	timeout time.Duration
-	buf     []byte
+	buf     []byte // the last reply's frame
+	out     []byte // the next request's frame
 	// Org is the organization the server announced in the handshake.
 	Org string
 }
@@ -31,7 +32,8 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	}
 	c := &Client{conn: conn, timeout: timeout}
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := writeFrame(conn, []byte{ftHello, protoVersion}); err != nil {
+	c.out = append(beginFrame(c.out), ftHello, protoVersion)
+	if err := writeFrame(conn, c.out); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -52,7 +54,8 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // Time field is advisory — the server re-stamps it with its own clock.
 func (c *Client) Send(e trace.Event) (Status, error) {
 	c.conn.SetDeadline(time.Now().Add(c.timeout))
-	if err := writeFrame(c.conn, trace.AppendEvent([]byte{ftEvent}, e)); err != nil {
+	c.out = trace.AppendEvent(append(beginFrame(c.out), ftEvent), e)
+	if err := writeFrame(c.conn, c.out); err != nil {
 		return 0, err
 	}
 	p, err := readFrame(c.conn, &c.buf)
@@ -68,7 +71,8 @@ func (c *Client) Send(e trace.Event) (Status, error) {
 // Stats fetches the server's snapshot.
 func (c *Client) Stats() (Snapshot, error) {
 	c.conn.SetDeadline(time.Now().Add(c.timeout))
-	if err := writeFrame(c.conn, []byte{ftStatsReq}); err != nil {
+	c.out = append(beginFrame(c.out), ftStatsReq)
+	if err := writeFrame(c.conn, c.out); err != nil {
 		return Snapshot{}, err
 	}
 	p, err := readFrame(c.conn, &c.buf)

@@ -111,6 +111,32 @@ type Snapshot struct {
 	PendingStable   int64
 	PendingVolatile int64
 	Faults          faults.Stats
+	// WritebackBatches counts the commit barriers' worth of work the
+	// write-back goroutine has done: one per wake-up of its loop (and one
+	// for a non-empty shutdown residue). BatchDeliveries counts the
+	// write-backs and park requests handled in them, so their quotient is
+	// the mean group-commit batch size. A tick's Advance is not a batch: it
+	// takes nothing off the queues.
+	WritebackBatches int64
+	BatchDeliveries  int64
+	// Image is the attached image's activity since open (zero without an
+	// image). A batch that appended costs two msyncs; the header sync at
+	// create, a barrier forced by a compaction, a tick that drained due
+	// redeliveries and Shutdown's final Sync are the only others.
+	Image nvram.ImageStats
+	// GOMAXPROCS is the process's P count when the snapshot was taken.
+	GOMAXPROCS int
+}
+
+// writebackSnapshot is the part of a Snapshot only the write-back
+// goroutine can read: the injector's and the image's counters and its own
+// batch counts.
+type writebackSnapshot struct {
+	faults                   faults.Stats
+	image                    nvram.ImageStats
+	pendStable, pendVol      int64
+	clockAborts, restored    int64
+	batches, batchDeliveries int64
 }
 
 // Server is a live nvramd instance. Construct with New, serve with
@@ -129,7 +155,10 @@ type Server struct {
 	scratch  []faults.Delivery
 	applied  int64
 
-	inj    *faults.Injector // owned by the writeback goroutine after New
+	inj *faults.Injector // owned by the writeback goroutine after New
+	// batches and batchDeliveries belong to the writeback goroutine too.
+	batches, batchDeliveries int64
+
 	tokens chan struct{}
 	wbCh   chan faults.Delivery
 	parkCh chan faults.Delivery
@@ -137,14 +166,10 @@ type Server struct {
 	latMu sync.Mutex
 	lat   *stats.Reservoir
 
-	// statsMu guards the injector snapshot the writeback goroutine
-	// refreshes on every tick (the injector itself is single-owner).
-	statsMu     sync.Mutex
-	faultsSnap  faults.Stats
-	pendStable  int64
-	pendVol     int64
-	clockAborts int64
-	restored    int64
+	// statsMu guards the copy of its own state the writeback goroutine
+	// publishes on every tick (injector and image are single-owner).
+	statsMu sync.Mutex
+	wbSnap  writebackSnapshot
 
 	reqOK, reqParked, reqShed, reqDraining, reqBad atomic.Int64
 	shedBytes                                      atomic.Int64
@@ -168,6 +193,12 @@ type Server struct {
 // New builds a server: recovers the parked backlog from cfg.Image (if
 // any), restores it into the fault stage, and starts the write-back
 // goroutine. Returns the count of recovered parked deliveries.
+//
+// New does not touch GOMAXPROCS: that is the embedding process's policy
+// (cmd/nvramd keeps it at two or more). On a single P the write-back
+// goroutine holds the P through each commit barrier, so handlers read no
+// frame meanwhile: a reply waits a whole barrier and batches shrink to one
+// delivery per connection (see writeback).
 func New(cfg Config) (*Server, int, error) {
 	if cfg.Cache.Hooks != nil {
 		return nil, 0, errors.New("daemon: Config.Cache.Hooks is owned by the daemon")
@@ -250,13 +281,19 @@ func New(cfg Config) (*Server, int, error) {
 // executes delivery schedules against real time, services park requests,
 // and periodically drains redeliveries whose backoff has elapsed.
 //
-// Image commits are grouped: the delivery that wakes the loop and
-// everything already queued behind it run under one injector batch, so
-// they share one commit barrier. Nothing waits to fill a batch — its size
-// is whatever arrived during the previous commit — and the injector
-// commits on its own before any sleep that really blocks. The snapshot is
-// refreshed only between batches, so PendingStable never counts a record
-// whose commit mark is not yet synced.
+// Threading model. This is the only goroutine of the daemon that blocks in
+// the kernel on anything but a socket: the image's two msyncs per commit
+// barrier, and compaction's fsync and rename. Handlers block only on their
+// connection, on mu (never held across a syscall) and on the queues that
+// feed this goroutine. So two Ps suffice for handlers to keep applying
+// events and queueing write-backs while a barrier is in msync, which is
+// what makes this loop a group commit: the delivery that wakes it and
+// everything queued behind it run under one injector batch and share one
+// barrier, nothing waits to fill a batch, and its size is whatever the
+// handlers queued during the previous barrier. The injector commits on
+// its own before any sleep that really blocks. The snapshot is refreshed
+// only between batches, so PendingStable never counts a record whose
+// commit mark is not yet synced.
 func (s *Server) writeback() {
 	defer close(s.wbDone)
 	tick := time.NewTicker(100 * time.Millisecond)
@@ -274,10 +311,12 @@ func (s *Server) writeback() {
 			// Shutdown: anything still queued parks (stable bytes
 			// durably; the clock is stopped so nothing sleeps).
 			s.inj.Begin()
+			n := 0
 			for len(s.wbCh)+len(s.parkCh) > 0 {
-				s.drainQueued(s.inj.Park)
+				n += s.drainQueued(s.inj.Park)
 			}
 			s.inj.Commit()
+			s.countBatch(n)
 			s.refreshSnapshot()
 			return
 		}
@@ -289,22 +328,27 @@ func (s *Server) writeback() {
 func (s *Server) writeBatch(first func(int64, faults.Delivery), d faults.Delivery) {
 	s.inj.Begin()
 	first(s.clk.Now(), d)
-	s.drainQueued(s.inj.Deliver)
+	n := 1 + s.drainQueued(s.inj.Deliver)
 	s.inj.Commit()
+	s.countBatch(n)
+}
+
+// countBatch records a finished batch of n deliveries and park requests.
+func (s *Server) countBatch(n int) {
+	if n > 0 {
+		s.batches++
+		s.batchDeliveries += int64(n)
+	}
 }
 
 // drainQueued hands the injector what is queued right now, without
-// blocking: write-backs to deliver (Deliver while serving, Park at
-// shutdown), park requests to Park. It takes no more than was queued when
-// it looked, so a batch stays bounded by the queues' capacities and
-// cannot starve the tick or the stop signal while producers keep up.
-func (s *Server) drainQueued(deliver func(int64, faults.Delivery)) {
-	// Yield once first: a handler that is runnable but has not run yet
-	// (the send that woke this goroutine put it ahead of them) gets to
-	// queue its write-backs into this batch instead of the next. A
-	// barrier costs hundreds of microseconds, the yield about one, and it
-	// waits for nobody: only goroutines already runnable run.
-	runtime.Gosched()
+// blocking, and reports how many it took: write-backs to deliver (Deliver
+// while serving, Park at shutdown), park requests to Park. It takes no
+// more than was queued when it looked, so a batch stays bounded by the
+// queues' capacities and cannot starve the tick or the stop signal while
+// producers keep up.
+func (s *Server) drainQueued(deliver func(int64, faults.Delivery)) int {
+	took := 0
 	for n := len(s.wbCh) + len(s.parkCh); n > 0; n-- {
 		select {
 		case d := <-s.wbCh:
@@ -312,29 +356,36 @@ func (s *Server) drainQueued(deliver func(int64, faults.Delivery)) {
 		case d := <-s.parkCh:
 			s.inj.Park(s.clk.Now(), d)
 		default:
-			return
+			return took
 		}
+		took++
 	}
+	return took
 }
 
-// refreshSnapshot copies the injector's counters under statsMu; everyone
-// else reads the copy.
+// refreshSnapshot publishes the write-back goroutine's state under
+// statsMu; everyone else reads the copy.
 func (s *Server) refreshSnapshot() {
-	st := s.inj.Stats()
-	stable, vol := s.inj.PendingBytes()
+	wb := writebackSnapshot{
+		faults:          s.inj.Stats(),
+		clockAborts:     s.inj.ClockAborts(),
+		restored:        s.inj.RestoredBytes(),
+		batches:         s.batches,
+		batchDeliveries: s.batchDeliveries,
+	}
+	wb.pendStable, wb.pendVol = s.inj.PendingBytes()
+	if s.cfg.Image != nil {
+		wb.image = s.cfg.Image.Stats()
+	}
 	s.statsMu.Lock()
-	s.faultsSnap = st
-	s.pendStable, s.pendVol = stable, vol
-	s.clockAborts = s.inj.ClockAborts()
-	s.restored = s.inj.RestoredBytes()
+	s.wbSnap = wb
 	s.statsMu.Unlock()
 }
 
 // Snapshot assembles the daemon's observable state.
 func (s *Server) Snapshot() Snapshot {
 	s.statsMu.Lock()
-	fs, stable, vol := s.faultsSnap, s.pendStable, s.pendVol
-	aborts, restored := s.clockAborts, s.restored
+	wb := s.wbSnap
 	s.statsMu.Unlock()
 	s.latMu.Lock()
 	p50, p99 := s.lat.Quantile(0.5), s.lat.Quantile(0.99)
@@ -356,11 +407,16 @@ func (s *Server) Snapshot() Snapshot {
 		ApplyP50US:      p50,
 		ApplyP99US:      p99,
 		AppliedOps:      applied,
-		RestoredBytes:   restored,
-		ClockAborts:     aborts,
-		PendingStable:   stable,
-		PendingVolatile: vol,
-		Faults:          fs,
+		RestoredBytes:   wb.restored,
+		ClockAborts:     wb.clockAborts,
+		PendingStable:   wb.pendStable,
+		PendingVolatile: wb.pendVol,
+		Faults:          wb.faults,
+
+		WritebackBatches: wb.batches,
+		BatchDeliveries:  wb.batchDeliveries,
+		Image:            wb.image,
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -403,52 +459,55 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.connWG.Done()
 	}()
 
-	var buf []byte
+	// One buffer per direction, reused frame after frame.
+	var in, out []byte
 	// Handshake: one hello frame, answered with the org name.
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	p, err := readFrame(conn, &buf)
+	p, err := readFrame(conn, &in)
 	if err != nil || len(p) < 2 || p[0] != ftHello || p[1] != protoVersion {
 		return
 	}
-	hello := append([]byte{ftHelloOK, protoVersion}, s.cfg.Org.String()...)
+	out = append(append(beginFrame(out), ftHelloOK, protoVersion), s.cfg.Org.String()...)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := writeFrame(conn, hello); err != nil {
+	if err := writeFrame(conn, out); err != nil {
 		return
 	}
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		p, err := readFrame(conn, &buf)
+		p, err := readFrame(conn, &in)
 		if err != nil {
 			return // clean close, timeout, oversized frame, or tear
 		}
-		var resp []byte
-		switch p[0] {
-		case ftEvent:
-			e, _, derr := trace.DecodeEvent(p[1:])
-			var st Status
-			if derr != nil {
-				s.reqBad.Add(1)
-				st = StatusBadRequest
-			} else {
-				st = s.handleEvent(e)
-			}
-			resp = []byte{ftResult, byte(st)}
-		case ftStatsReq:
-			body, jerr := json.Marshal(s.Snapshot())
-			if jerr != nil {
-				return
-			}
-			resp = append([]byte{ftStats}, body...)
-		default:
-			s.reqBad.Add(1)
-			resp = []byte{ftResult, byte(StatusBadRequest)}
+		if out, err = s.appendReply(beginFrame(out), p); err != nil {
+			return
 		}
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(conn, out); err != nil {
 			return
 		}
 	}
+}
+
+// appendReply serves one request frame and appends the reply's payload to
+// out.
+func (s *Server) appendReply(out, p []byte) ([]byte, error) {
+	switch p[0] {
+	case ftEvent:
+		e, _, err := trace.DecodeEvent(p[1:])
+		if err != nil {
+			break
+		}
+		return append(out, ftResult, byte(s.handleEvent(e))), nil
+	case ftStatsReq:
+		body, err := json.Marshal(s.Snapshot())
+		if err != nil {
+			return out, err
+		}
+		return append(append(out, ftStats), body...), nil
+	}
+	s.reqBad.Add(1)
+	return append(out, ftResult, byte(StatusBadRequest)), nil
 }
 
 // handleEvent routes one event through admission, the simulation core,
@@ -608,6 +667,7 @@ func (s *Server) Shutdown(grace time.Duration) {
 	<-s.wbDone
 	if s.cfg.Image != nil {
 		s.cfg.Image.Sync()
+		s.refreshSnapshot() // the goroutine is gone; count the final Sync
 	}
 }
 

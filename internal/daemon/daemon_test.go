@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
@@ -442,6 +443,15 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 		`nvramd_writeback_bytes{kind="offered"}`,
 		`nvramd_pending_bytes{residence="nvram"}`,
 		`nvramd_apply_latency_microseconds{quantile="0.99"}`,
+		// No image is attached here, so its counters read zero.
+		"\nnvramd_writeback_batches_total ",
+		"\nnvramd_writeback_batch_deliveries_total ",
+		"\nnvramd_image_msyncs_total 0\n",
+		"\nnvramd_image_msync_seconds_total 0\n",
+		"\nnvramd_image_records_total 0\n",
+		"\nnvramd_image_appended_bytes_total 0\n",
+		"\nnvramd_image_compactions_total 0\n",
+		fmt.Sprintf("\nnvramd_gomaxprocs %d\n", runtime.GOMAXPROCS(0)),
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
@@ -503,6 +513,107 @@ func TestDaemonWritebackGroupCommit(t *testing.T) {
 	checkGroupCommitted(t, img, n)
 }
 
+// TestDaemonBatchCountersMatchImage parks every write-back of two busy
+// connections into an image, so handlers are applying events and queueing
+// deliveries while the write-back goroutine sits in its commit barriers
+// (the interleaving -race is here to check), and then holds the batch
+// counters to the ledger: every delivery went through exactly one batch,
+// every batch cost one barrier, and what the snapshot calls pending is
+// what a reopen of the image finds.
+func TestDaemonBatchCountersMatchImage(t *testing.T) {
+	cfg, img := parkingConfig(t, faults.Profile{MaxAttempts: 1, Outages: []faults.Window{{Start: 0, End: faults.Never}}})
+	s, addr := startServer(t, cfg)
+
+	const conns, writes = 2, 200
+	errs := make(chan error, conns)
+	for i := 0; i < conns; i++ {
+		go func(client uint32) {
+			c, err := Dial(addr, 5*time.Second)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for w := int64(0); w < writes; w++ {
+				st, err := c.Send(trace.Event{Op: trace.OpWrite, Client: client, File: uint64(client), Offset: w * 4096, Length: 4096})
+				if err == nil && st != StatusOK {
+					err = fmt.Errorf("client %d write %d: status %v", client, w, st)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(uint32(i + 1))
+	}
+	for i := 0; i < conns; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Shutdown drains the queues and publishes the final snapshot: the
+	// quiesce point, reached without waiting on a clock.
+	s.Shutdown(2 * time.Second)
+	snap := s.Snapshot()
+	f, im := snap.Faults, snap.Image
+
+	if snap.RequestsOK != conns*writes || f.Deliveries == 0 {
+		t.Fatalf("%d requests ok, %d deliveries: the workload did not reach the write-back path", snap.RequestsOK, f.Deliveries)
+	}
+	// The injector counts a park request as a delivery, so this one
+	// equation covers both queues.
+	if snap.BatchDeliveries != f.Deliveries || snap.WritebackBatches == 0 || snap.WritebackBatches > snap.BatchDeliveries {
+		t.Fatalf("%d batches handled %d deliveries, the injector saw %d", snap.WritebackBatches, snap.BatchDeliveries, f.Deliveries)
+	}
+	if im.Puts != f.Deliveries || im.Records != im.Puts {
+		t.Fatalf("%d deliveries, %d puts in %d records: not every delivery parked", f.Deliveries, im.Puts, im.Records)
+	}
+	// Every batch appended, so every batch cost one two-msync barrier; the
+	// header sync at create and Shutdown's Sync are the other two, and a
+	// compaction would force at most one more barrier.
+	if lo := 2*snap.WritebackBatches + 2; im.Msyncs < lo || im.Msyncs > lo+2*im.Compactions {
+		t.Fatalf("%d msyncs for %d batches and %d compactions, want %d", im.Msyncs, snap.WritebackBatches, im.Compactions, lo)
+	}
+	t.Logf("%d deliveries in %d batches (mean %.2f), %d msyncs", f.Deliveries, snap.WritebackBatches,
+		float64(snap.BatchDeliveries)/float64(snap.WritebackBatches), im.Msyncs)
+
+	rec := httptest.NewRecorder()
+	s.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		fmt.Sprintf("\nnvramd_writeback_batches_total %d\n", snap.WritebackBatches),
+		fmt.Sprintf("\nnvramd_writeback_batch_deliveries_total %d\n", snap.BatchDeliveries),
+		fmt.Sprintf("\nnvramd_image_msyncs_total %d\n", im.Msyncs),
+		fmt.Sprintf("\nnvramd_image_records_total %d\n", im.Records),
+		fmt.Sprintf("\nnvramd_image_appended_bytes_total %d\n", im.AppendedBytes),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("metrics output missing %q:\n%s", want, rec.Body.String())
+		}
+	}
+
+	path := img.Path()
+	if err := img.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _, err := nvram.OpenImage(path, nvram.ImageOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	parked, err := faults.RecoverParked(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes int64
+	for _, p := range parked {
+		bytes += p.D.End - p.D.Start
+	}
+	if int64(len(parked)) != f.Deliveries || bytes != snap.PendingStable {
+		t.Fatalf("reopen finds %d deliveries, %d bytes; the snapshot said %d and %d", len(parked), bytes, f.Deliveries, snap.PendingStable)
+	}
+}
+
 // TestDaemonShutdownParksQueuedResidue stops a daemon whose write-back
 // goroutine is asleep in a retry backoff with deliveries queued behind
 // it: the stopped clock aborts the schedule, and the sleeper and the
@@ -528,4 +639,50 @@ func TestDaemonShutdownParksQueuedResidue(t *testing.T) {
 		t.Fatal("Shutdown did not abort the backoff sleep")
 	}
 	checkGroupCommitted(t, img, n)
+}
+
+// TestDaemonReplyPathDoesNotAllocate holds the connection's reply buffer
+// to its purpose: serving an event frame and writing the verdict back
+// costs no allocation once the buffer exists. The peer of a net.Pipe reads
+// the replies, so the frame really crosses a connection.
+func TestDaemonReplyPathDoesNotAllocate(t *testing.T) {
+	s, _, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(time.Second)
+	srv, peer := net.Pipe()
+	defer srv.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var in []byte
+		for {
+			if p, err := readFrame(peer, &in); err != nil || len(p) != 2 || p[0] != ftResult || Status(p[1]) != StatusOK {
+				return
+			}
+		}
+	}()
+
+	// A read of a block the client's cache holds: applied, no write-back.
+	writeReq := trace.AppendEvent([]byte{ftEvent}, trace.Event{Op: trace.OpWrite, Client: 1, File: 1, Length: 4096})
+	readReq := trace.AppendEvent([]byte{ftEvent}, trace.Event{Op: trace.OpRead, Client: 1, File: 1, Length: 4096})
+	var out []byte
+	serve := func(req []byte) {
+		if out, err = s.appendReply(beginFrame(out), req); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(srv, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve(writeReq)
+	if allocs := testing.AllocsPerRun(200, func() { serve(readReq) }); allocs != 0 {
+		t.Fatalf("serving an event and replying allocates %.1f times, want 0", allocs)
+	}
+	srv.Close()
+	<-done
+	if got := s.Snapshot().RequestsOK; got != 202 {
+		t.Fatalf("%d requests answered ok, want 202 (a reply was not ok)", got)
+	}
 }

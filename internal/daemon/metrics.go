@@ -68,5 +68,33 @@ func (s *Server) MetricsHandler() http.Handler {
 		p("# HELP nvramd_nvram_highwater_bytes Peak bytes parked in NVRAM awaiting recovery.\n")
 		p("# TYPE nvramd_nvram_highwater_bytes gauge\n")
 		p("nvramd_nvram_highwater_bytes %d\n", f.NVRAMHighWater)
+
+		// Group commit: deliveries / batches is the mean batch size, and
+		// a batch that appended to the image costs two msyncs.
+		p("# HELP nvramd_writeback_batches_total Batches the write-back goroutine has committed, one barrier each.\n")
+		p("# TYPE nvramd_writeback_batches_total counter\n")
+		p("nvramd_writeback_batches_total %d\n", snap.WritebackBatches)
+		p("# HELP nvramd_writeback_batch_deliveries_total Write-backs and park requests handled in those batches.\n")
+		p("# TYPE nvramd_writeback_batch_deliveries_total counter\n")
+		p("nvramd_writeback_batch_deliveries_total %d\n", snap.BatchDeliveries)
+		im := snap.Image
+		p("# HELP nvramd_image_msyncs_total msync calls on the durable image since open.\n")
+		p("# TYPE nvramd_image_msyncs_total counter\n")
+		p("nvramd_image_msyncs_total %d\n", im.Msyncs)
+		p("# HELP nvramd_image_msync_seconds_total Time spent inside those msync calls.\n")
+		p("# TYPE nvramd_image_msync_seconds_total counter\n")
+		p("nvramd_image_msync_seconds_total %g\n", float64(im.MsyncNanos)/1e9)
+		p("# HELP nvramd_image_records_total Log records appended to the image.\n")
+		p("# TYPE nvramd_image_records_total counter\n")
+		p("nvramd_image_records_total %d\n", im.Records)
+		p("# HELP nvramd_image_appended_bytes_total Log bytes appended to the image, padding included.\n")
+		p("# TYPE nvramd_image_appended_bytes_total counter\n")
+		p("nvramd_image_appended_bytes_total %d\n", im.AppendedBytes)
+		p("# HELP nvramd_image_compactions_total Image compactions.\n")
+		p("# TYPE nvramd_image_compactions_total counter\n")
+		p("nvramd_image_compactions_total %d\n", im.Compactions)
+		p("# HELP nvramd_gomaxprocs Ps the Go runtime schedules on; nvramd keeps it at 2 or more.\n")
+		p("# TYPE nvramd_gomaxprocs gauge\n")
+		p("nvramd_gomaxprocs %d\n", snap.GOMAXPROCS)
 	})
 }

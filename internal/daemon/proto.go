@@ -18,6 +18,9 @@ import (
 // stats reply in a few hundred; anything near the cap is garbage input.
 const MaxFrame = 1 << 20
 
+// frameHeader is the size of the length prefix.
+const frameHeader = 4
+
 // protoVersion is the handshake version both sides must speak.
 const protoVersion = 1
 
@@ -75,13 +78,18 @@ var errFrameTooLarge = errors.New("daemon: frame exceeds 1MiB cap")
 
 // readFrame reads one length-prefixed frame into a reused buffer,
 // returning the payload (valid until the next call). io.EOF means the
-// peer closed cleanly between frames.
+// peer closed cleanly between frames. The prefix is read into the same
+// buffer the payload then overwrites: a local array would escape through
+// the io.Reader and cost an allocation per frame.
 func readFrame(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < frameHeader {
+		*buf = make([]byte, 64) // events encode in tens of bytes
+	}
+	hdr := (*buf)[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err // io.EOF between frames is a clean close
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return nil, errors.New("daemon: empty frame")
 	}
@@ -101,15 +109,23 @@ func readFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 	return p, nil
 }
 
-// writeFrame writes one length-prefixed frame. The payload is copied into
-// a single Write so a frame is never interleaved at the TCP layer.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
+// beginFrame starts a frame at the front of buf, which it reuses: room for
+// the length prefix, after which the caller appends the payload and hands
+// the result to writeFrame. A connection keeps one such buffer per
+// direction, so a reply costs no allocation once the buffer has grown.
+func beginFrame(buf []byte) []byte {
+	return append(buf[:0], make([]byte, frameHeader)...)
+}
+
+// writeFrame fills in the length prefix of a frame built on beginFrame and
+// sends prefix and payload in a single Write, so a frame is never
+// interleaved at the TCP layer.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > MaxFrame {
 		return errFrameTooLarge
 	}
-	msg := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(msg, uint32(len(payload)))
-	copy(msg[4:], payload)
-	_, err := w.Write(msg)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
