@@ -26,8 +26,9 @@ if [ -n "$undocumented" ]; then
 fi
 
 # Quick path first: the plain -short suite (including the crash-injection
-# sweeps) finishes in seconds and catches most breakage before the full
-# -race pass, which takes ~15 minutes on a 1-CPU box.
+# sweeps and the live nvramd kill/restart test) finishes in about a minute
+# and catches most breakage before the full -race pass, which takes
+# about 12 minutes on a 2-CPU box.
 go test -short ./...
 
 # The benchmark is a nested module (bench/go.mod, replace => ..) that the
@@ -46,57 +47,17 @@ if [ "$(nproc)" -ge 2 ]; then
 	bash bench/run.sh --workload daemon_park --seed 1 --seconds 2 --trace 1
 fi
 
-# Fault-injection gate: every fault-stage and degraded-mode test by name
-# (injector semantics, outage degradation per organization, crash
-# composition, determinism across worker counts), without the race
-# detector so it stays quick.
-go test -run 'Fault|Degraded' -count=1 ./...
+# The bounded-memory gates (heap_test.go): peak live heap within 2x when a
+# trace grows 10x and when a fleet grows from 10k to 100k clients. They
+# skip under -short and under the race detector, so they run here by name.
+go test -count=1 -run 'HeapBound' .
 
 # The report sweeps re-canonicalize each trace per pass (the streaming
 # pipeline's CPU-for-memory tradeoff), which under the race detector's
-# ~10x slowdown pushes the package past go test's default 10m timeout on
-# the 1-CPU CI box.
+# ~10x slowdown can push the package past go test's default 10m timeout.
 go test -race -timeout 30m ./...
 
 # Bench smoke: one iteration of every benchmark under the race detector, so
 # benchmarks can't rot (and the allocation-budget tests above can't drift
 # from what the benchmarks actually exercise).
 go test -race -run '^$' -bench . -benchtime 1x ./...
-
-# Streaming-memory smoke: peak heap while simulating a steady-live-set
-# trace must stay within 2x when the trace is grown 10x longer. Fails
-# loudly if any pipeline stage regresses to materializing the trace (or
-# retaining per-file state past deletion).
-go run ./cmd/nvbench -stream-smoke
-
-# Sharded-pipeline smoke: the Figure 2/3 sweeps rendered sharded at -j 4
-# must be byte-identical to the sequential render, and on a box with
-# >= 4 CPUs the sharded run must be at least 1.5x faster (the speedup
-# gate self-skips on smaller boxes; the divergence gate always runs).
-go run ./cmd/nvbench -shard-smoke
-
-# Durable kill/reopen gate: SIGKILL a child process (and cut the power via
-# the durable snapshot) at trace-event boundaries, reopen the image file,
-# and require recovery to match the in-memory oracle exactly. The -short
-# sweep above already runs the sampled version; this runs the durable
-# tests by name so a filtered test run can't silently drop them, then the
-# nvbench smoke drives the same harness through the public facade.
-go test -short -run 'Durable|Image' -count=1 ./internal/crash/ ./internal/nvram/ ./internal/lfs/ ./internal/faults/
-go run ./cmd/nvbench -durable-smoke
-
-# Fleet population gate: a 100k-client, 16-shard fleet run must hold peak
-# heap within 2x of the 10k-client run (per-client and per-segment state
-# has to retire), and the fleet experiment must render byte-identical
-# output at -j 1 and -j 8.
-go run ./cmd/nvbench -fleet-smoke
-
-# Live-service gate: the daemon's protocol/admission/panic-isolation
-# tests, the image lock and corruption-fuzz tests, the wall-clock seam,
-# and the live kill/reconnect harness, all by name so a filtered run
-# can't silently drop them; then the full cycle against a real nvramd
-# binary — load it over TCP under an outage, SIGKILL it mid-backlog,
-# restart it, and require the parked backlog to drain with zero
-# committed-byte loss (recording the replay ops/s + p99 baseline).
-go test -run 'Daemon|Live|Lock|Corrupt|Clock|Frame|Reservoir' -count=1 \
-	./internal/daemon/ ./internal/crash/ ./internal/nvram/ ./internal/faults/ ./internal/trace/ ./internal/stats/
-go run ./cmd/nvbench -daemon-smoke

@@ -46,8 +46,8 @@ import (
 	"nvramfs/internal/nvram"
 )
 
-// imageName matches internal/crash's live harness so the kill/restart
-// tooling and a hand-run daemon agree on where the durable state lives.
+// imageName is the durable image's file name inside -dir; the kill tests
+// and bench/ reopen a dead daemon's image by this name.
 const imageName = "nvramd.img"
 
 func parseOrg(name string) (cache.ModelKind, error) {
@@ -107,6 +107,12 @@ func main() {
 	// network model's per-attempt latency charge is disabled; drops,
 	// spikes, outages, and the retry policy still apply.
 	prof.Net = &netmodel.Params{}
+
+	// daemon.New rejects cache sizes the organization cannot be built from;
+	// the block size must be checked first because the sizes divide by it.
+	if *blockSize <= 0 {
+		log.Fatalf("-block %d: the block size must be positive", *blockSize)
+	}
 
 	var img *nvram.Image
 	if *dir != "" {

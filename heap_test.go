@@ -1,0 +1,173 @@
+package nvramfs_test
+
+// Bounded-memory gates. Each streams a workload twice, the second time
+// grown tenfold, and requires the peak live heap to stay within 2x: the
+// streaming pipeline holds O(cache size + live files), the fleet O(active
+// sessions + cache budget), and a stage that starts materializing the
+// trace or retaining per-client state fails by far more than that.
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/metrics"
+	"testing"
+	"time"
+
+	"nvramfs/internal/cache"
+	"nvramfs/internal/fleet"
+	"nvramfs/internal/prep"
+	"nvramfs/internal/server"
+	"nvramfs/internal/sim"
+	"nvramfs/internal/trace"
+	"nvramfs/internal/workload"
+)
+
+// peakLiveHeap runs consume over src and returns the event count and the
+// peak live heap seen meanwhile, sampled every 8192 events.
+func peakLiveHeap(src trace.EventSource, consume func(trace.EventSource) error) (int64, uint64, error) {
+	s := &heapSampler{src: src, live: []metrics.Sample{{Name: "/gc/heap/live:bytes"}}}
+	s.sample()
+	err := consume(s)
+	s.sample()
+	return s.n, s.peak, err
+}
+
+// heapSampler forwards an event stream, sampling the live heap as it goes.
+type heapSampler struct {
+	src  trace.EventSource
+	n    int64
+	live []metrics.Sample
+	peak uint64
+}
+
+func (s *heapSampler) Next() (trace.Event, bool, error) {
+	e, ok, err := s.src.Next()
+	if ok {
+		if s.n%8192 == 0 {
+			s.sample()
+		}
+		s.n++
+	}
+	return e, ok, err
+}
+
+// sample collects and then reads the live heap: what that collection
+// marked reachable (/gc/heap/live:bytes). Unlike MemStats.HeapAlloc it
+// leaves out garbage awaiting collection, and forcing the collection pins
+// the sample to this point of the stream, not to wherever the runtime last
+// happened to collect (a short base run collects too rarely for that).
+func (s *heapSampler) sample() {
+	runtime.GC()
+	metrics.Read(s.live)
+	s.peak = max(s.peak, s.live[0].Value.Uint64())
+}
+
+// checkHeapBound measures base and grown and fails if the grown run's peak
+// live heap exceeds twice the base run's.
+func checkHeapBound(t *testing.T, what string, run func(grown bool) (int64, uint64, error)) {
+	if testing.Short() {
+		t.Skip("heap gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow heap is not the program's heap")
+	}
+	baseN, basePeak, err := run(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grownN, grownPeak, err := run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(grownPeak) / float64(basePeak)
+	t.Logf("%s: %d events peak live %.1f MiB -> %d events peak live %.1f MiB (ratio %.2f)",
+		what, baseN, float64(basePeak)/(1<<20), grownN, float64(grownPeak)/(1<<20), ratio)
+	if ratio > 2 {
+		t.Fatalf("%s: peak live heap grew %.2fx, bound 2x", what, ratio)
+	}
+}
+
+// TestStreamHeapBound streams a steady-live-set trace through
+// canonicalization and a unified-model simulation, then the same trace run
+// ten times as long.
+func TestStreamHeapBound(t *testing.T) {
+	checkHeapBound(t, "stream 10x", func(grown bool) (int64, uint64, error) {
+		p := steadyProfile()
+		if grown {
+			p.Duration *= 10
+		}
+		return peakLiveHeap(workload.NewCursor(p), func(src trace.EventSource) error {
+			_, err := sim.Run(prep.NewSource(src, prep.Options{Trusted: true}), sim.Config{
+				Model: cache.ModelUnified,
+				Cache: cache.Config{
+					// Small enough that the base run already fills both
+					// memories on every client: a cache the base run only
+					// part-fills would read as growth in the grown run.
+					VolatileBlocks: sim.BlocksForBytes(1*sim.MB, cache.DefaultBlockSize),
+					NVRAMBlocks:    sim.BlocksForBytes(sim.MB/4, cache.DefaultBlockSize),
+					Policy:         cache.LRU,
+				},
+				Seed: 7,
+			})
+			return err
+		})
+	})
+}
+
+// steadyProfile is development and producer/consumer activity whose
+// live-file population is steady: temps, objects and outputs are deleted
+// before their replacements are created, and the read corpora are fixed.
+// On a workload that keeps accreting live files (the editor actor abandons
+// old documents, as real users do) the peak tracks that live set, which
+// every correct simulator must hold, and the materialization signal drowns.
+func steadyProfile() workload.Profile {
+	var actors []workload.ActorConfig
+	add := func(k workload.Kind, client, peer uint32) {
+		actors = append(actors, workload.ActorConfig{Kind: k, Client: client, Peer: peer, Intensity: 1})
+	}
+	for c := uint32(1); c <= 4; c++ {
+		add(workload.KindBuild, c, 0)
+	}
+	add(workload.KindMail, 5, 0)
+	add(workload.KindShared, 6, 7)
+	add(workload.KindSim, 8, 0)
+	return workload.Profile{
+		Name:     "memsteady",
+		Seed:     4242,
+		Duration: 24 * time.Hour,
+		Scale:    0.02,
+		Clients:  9,
+		Actors:   actors,
+	}
+}
+
+// TestFleetHeapBound streams 10k and then 100k clients through a 16-shard
+// fleet. MaxActive stays at its default for both, so growth can only be
+// per-client state that failed to retire.
+func TestFleetHeapBound(t *testing.T) {
+	checkHeapBound(t, "fleet 10k->100k clients", func(grown bool) (int64, uint64, error) {
+		clients := 10_000
+		if grown {
+			clients = 100_000
+		}
+		cur, err := workload.NewFleetCursor(workload.FleetProfile{
+			Name:     fmt.Sprintf("fleetheap-%d", clients),
+			Seed:     4092,
+			Duration: 24 * time.Hour,
+			Clients:  clients,
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		return peakLiveHeap(cur, func(src trace.EventSource) error {
+			_, err := fleet.Run(src, fleet.Options{
+				Shards: 16,
+				Server: server.Config{
+					CacheBlocks: (128 << 20) / (4 << 10),
+					NVRAMBlocks: (2 << 20) / (4 << 10),
+				},
+			})
+			return err
+		})
+	})
+}

@@ -213,6 +213,9 @@ func NewModel(kind ModelKind, cfg Config) (Model, error) {
 		if cfg.NVRAMBlocks <= 0 {
 			return nil, fmt.Errorf("cache: %v model needs NVRAMBlocks > 0", kind)
 		}
+		if cfg.VolatileBlocks < 0 {
+			return nil, fmt.Errorf("cache: %v model given negative VolatileBlocks %d", kind, cfg.VolatileBlocks)
+		}
 		pol, err := NewPolicy(cfg.Policy, cfg.Rand, cfg.Schedule)
 		if err != nil {
 			return nil, err

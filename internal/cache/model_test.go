@@ -337,6 +337,11 @@ func TestModelValidation(t *testing.T) {
 	if _, err := NewModel(ModelWriteAside, Config{NVRAMBlocks: 4}); err == nil {
 		t.Fatal("write-aside without volatile accepted")
 	}
+	for _, k := range []ModelKind{ModelUnified, ModelHybrid} {
+		if _, err := NewModel(k, Config{VolatileBlocks: -1, NVRAMBlocks: 4}); err == nil {
+			t.Fatalf("%v with negative volatile capacity accepted", k)
+		}
+	}
 	if _, err := NewModel(ModelKind(9), Config{}); err == nil {
 		t.Fatal("unknown model accepted")
 	}

@@ -5,8 +5,8 @@
 // retry/backoff/degradation scheduler executes its schedule with real
 // sleeps. A durable nvram.Image backs the NVRAM park queue, so a SIGKILL
 // plus restart recovers the parked write-back backlog with zero
-// committed-byte loss (internal/crash extends its harness to this live
-// process).
+// committed-byte loss (cmd/nvramd's tests drive that cycle against the
+// real process).
 //
 // Robustness model:
 //
@@ -91,7 +91,7 @@ type Config struct {
 }
 
 // Snapshot is the daemon's observable state: served to the stats frame
-// and the /metrics endpoint, and asserted on by the kill/restart smoke.
+// and the /metrics endpoint, and asserted on by the kill/restart test.
 type Snapshot struct {
 	Org             string
 	UptimeUS        int64
@@ -203,6 +203,14 @@ func New(cfg Config) (*Server, int, error) {
 	if cfg.Cache.Hooks != nil {
 		return nil, 0, errors.New("daemon: Config.Cache.Hooks is owned by the daemon")
 	}
+	// Each client's cache is built on that client's first event, so a size
+	// the organization rejects would otherwise surface as a bad-request (or
+	// a panic) on every write. Build one here instead.
+	probe, err := cache.NewModel(cfg.Org, cfg.Cache)
+	if err != nil {
+		return nil, 0, fmt.Errorf("daemon: %w", err)
+	}
+	probe.Release()
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
 	}

@@ -2,7 +2,7 @@ package daemon
 
 // Load generator: replays a trace against a live daemon at a rate
 // multiple of trace time, reporting sustained throughput and request
-// latency quantiles. Used by nvtrace -replay and the CI smoke gate.
+// latency quantiles. Used by nvtrace -replay and the nvramd kill/restart test.
 
 import (
 	"fmt"

@@ -10,7 +10,8 @@ import (
 )
 
 // smallFleetOptions is a grid small enough for the test suite; the full
-// default grid is exercised by cmd/nvbench -fleet-smoke and CI.
+// default grid runs only under `nvreport -exp fleet`, and the root
+// TestFleetHeapBound streams 100k clients through fleet.Run.
 func smallFleetOptions() FleetOptions {
 	return FleetOptions{
 		ClientCounts:  []int{400, 900},
