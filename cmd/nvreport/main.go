@@ -7,7 +7,6 @@
 //	nvreport -exp list            # list experiment names and descriptions
 //	nvreport -scale 0.1           # faster, smaller workloads
 //	nvreport -j 4 -progress       # four workers, job progress on stderr
-//	nvreport -shards 4            # force the intra-trace shard width
 //
 // The experiment list is generated from the registry (report.Experiments)
 // at startup — run `nvreport -exp list` for names and one-line
@@ -49,7 +48,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
 		plot       = flag.Bool("plot", false, "also draw ASCII charts for the figures")
 		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for the experiment engine")
-		shards     = flag.Int("shards", 0, "intra-trace shard width for the sharded sweeps (0 = auto from -j, 1 = sequential)")
 		progress   = flag.Bool("progress", false, "report per-job progress on stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
@@ -65,9 +63,6 @@ func main() {
 	if *jobs <= 0 {
 		log.Fatalf("-j %d is not positive; the engine needs at least one worker (default %d = all CPUs)",
 			*jobs, runtime.GOMAXPROCS(0))
-	}
-	if *shards < 0 {
-		log.Fatalf("-shards %d is negative; use 0 for automatic width or a positive shard count", *shards)
 	}
 	if *scale <= 0 {
 		log.Fatalf("-scale %g is not positive; use a fraction of paper scale such as 0.1", *scale)
@@ -137,9 +132,6 @@ func main() {
 	}
 	ws := nvramfs.NewWorkspace(*scale)
 	ws.SetEngine(eng)
-	ws.SetShards(*shards)
-	fmt.Fprintf(os.Stderr, "nvreport: %d workers, intra-trace shard width %d (output is identical at any -j/-shards)\n",
-		eng.Workers(), ws.ShardWidth())
 	start := time.Now()
 
 	out := os.Stdout

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -41,8 +40,6 @@ func main() {
 		writesOnly = flag.Bool("writes-only", false, "ignore read traffic (Figure 3 methodology)")
 		sweepNVRAM = flag.String("sweep-nvram", "", "comma-separated NVRAM sizes (MB) to sweep instead of a single run")
 		sweepModel = flag.Bool("sweep-models", false, "compare all cache models at the given sizes")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for the client-sharded simulation")
-		shards     = flag.Int("shards", 0, "client shard count (0 = auto from -j, 1 = sequential; results are identical either way)")
 		crashAt    = flag.Int("crash-at", -1, "inject a crash after N trace operations and report the loss model (-1 disables; 0 crashes before any work)")
 		faultSpec  = flag.String("faults", "", "fault-injection spec for the write-back path, e.g. seed=7,drop=0.1,outage=2m+60s (see -faults-help)")
 		faultHelp  = flag.Bool("faults-help", false, "print the -faults spec grammar and exit")
@@ -54,12 +51,6 @@ func main() {
 	if *faultHelp {
 		fmt.Print(nvramfs.FaultSpecUsage())
 		return
-	}
-	if *jobs <= 0 {
-		log.Fatalf("-j %d is not positive (default %d = all CPUs)", *jobs, runtime.GOMAXPROCS(0))
-	}
-	if *shards < 0 {
-		log.Fatalf("-shards %d is negative; use 0 for automatic width or a positive shard count", *shards)
 	}
 	var faultDesc string
 	if *faultSpec != "" {
@@ -93,6 +84,14 @@ func main() {
 		log.Fatalf("-crash-at %d is beyond the trace: valid crash points are 0..%d (operation boundaries), or -1 to disable",
 			*crashAt, tr.NumOps())
 	}
+	cfg := nvramfs.CacheConfig{
+		Model:      *model,
+		Policy:     *policy,
+		VolatileMB: *volatileMB,
+		NVRAMMB:    *nvramMB,
+		WritesOnly: *writesOnly,
+		Faults:     *faultSpec,
+	}
 	if *durableLFS && *durableDir == "" {
 		log.Fatal("-durable-lfs needs -durable <dir> for the image file")
 	}
@@ -108,25 +107,11 @@ func main() {
 		if err := os.MkdirAll(*durableDir, 0o755); err != nil {
 			log.Fatalf("-durable %s: %v", *durableDir, err)
 		}
-		runDurable(tr, nvramfs.CacheConfig{
-			Model:      *model,
-			Policy:     *policy,
-			VolatileMB: *volatileMB,
-			NVRAMMB:    *nvramMB,
-			WritesOnly: *writesOnly,
-			Faults:     *faultSpec,
-		}, *durableDir, *crashAt, *durableLFS, faultDesc)
+		runDurable(tr, cfg, *durableDir, *crashAt, *durableLFS, faultDesc)
 		return
 	}
 	if *crashAt >= 0 {
-		injectCrash(tr, nvramfs.CacheConfig{
-			Model:      *model,
-			Policy:     *policy,
-			VolatileMB: *volatileMB,
-			NVRAMMB:    *nvramMB,
-			WritesOnly: *writesOnly,
-			Faults:     *faultSpec,
-		}, *crashAt, faultDesc)
+		injectCrash(tr, cfg, *crashAt, faultDesc)
 		return
 	}
 	if *sweepNVRAM != "" {
@@ -138,31 +123,7 @@ func main() {
 		return
 	}
 
-	cfg := nvramfs.CacheConfig{
-		Model:      *model,
-		Policy:     *policy,
-		VolatileMB: *volatileMB,
-		NVRAMMB:    *nvramMB,
-		WritesOnly: *writesOnly,
-		Faults:     *faultSpec,
-	}
-	// The sharded path runs K client shards on the worker pool and merges
-	// them into exactly the sequential answer; fault injection couples
-	// clients through the shared server model and stays sequential.
-	nshards := *shards
-	if nshards == 0 {
-		nshards = *jobs
-		if nshards > 8 {
-			nshards = 8
-		}
-	}
-	var res *nvramfs.CacheResult
-	if nshards > 1 && *faultSpec == "" {
-		fmt.Fprintf(os.Stderr, "nvsim: %d workers, %d client shards\n", *jobs, nshards)
-		res, err = tr.RunCacheSharded(cfg, nshards, *jobs)
-	} else {
-		res, err = tr.RunCache(cfg)
-	}
+	res, err := tr.RunCache(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

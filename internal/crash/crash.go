@@ -56,15 +56,6 @@ func RunCache(src prep.Source, cfg sim.Config, k int) (*CacheOutcome, error) {
 	if err := s.StepTo(k); err != nil {
 		return nil, err
 	}
-	return inspectCache(s, cfg, k), nil
-}
-
-// inspectCache applies the loss model and invariant checks to a stepper
-// halted at op k, releasing its blocks before returning. In a sharded
-// run it sees only the shard's owned clients; every check it performs is
-// per-client (the server cross-check reads the shard's replica, which
-// answers for all files).
-func inspectCache(s *sim.Stepper, cfg sim.Config, k int) *CacheOutcome {
 	now := s.Now()
 	out := &CacheOutcome{Index: k, Time: now}
 
@@ -178,71 +169,5 @@ func inspectCache(s *sim.Stepper, cfg sim.Config, k int) *CacheOutcome {
 		}
 	}
 	s.Release()
-	return out
-}
-
-// RunCacheSharded is RunCache over client shards: K steppers each replay
-// the same k-op prefix (op indexing is global, so the crash hits every
-// shard at the identical event boundary), each shard's loss model and
-// invariants run over its owned clients, and the outcomes merge by
-// summing byte counters, taking the oldest lost age, and concatenating
-// violations in shard order. Fault injection and hooks are rejected for
-// the same reasons as sim.RunSharded. shards <= 1 degenerates to
-// RunCache; par supplies optional parallelism for the shard bodies.
-func RunCacheSharded(rep prep.Replayable, cfg sim.Config, k, shards int, par func(n int, fn func(i int) error) error) (*CacheOutcome, error) {
-	if cfg.Faults != nil {
-		return nil, fmt.Errorf("crash: sharded run cannot inject faults")
-	}
-	if cfg.Cache.Hooks != nil {
-		return nil, fmt.Errorf("crash: sharded run cannot install hooks")
-	}
-	if shards <= 1 {
-		src, err := rep.Ops()
-		if err != nil {
-			return nil, err
-		}
-		return RunCache(src, cfg, k)
-	}
-	outcomes := make([]*CacheOutcome, shards)
-	body := func(sh int) error {
-		src, err := rep.Ops()
-		if err != nil {
-			return err
-		}
-		scfg := cfg
-		scfg.Shard = sim.ShardSel{Index: sh, Shards: shards}
-		scfg.Cache.Arena = cache.NewBlockArena()
-		s := sim.NewStepper(src, scfg)
-		if err := s.StepTo(k); err != nil {
-			return err
-		}
-		outcomes[sh] = inspectCache(s, scfg, k)
-		return nil
-	}
-	if par == nil {
-		par = func(n int, fn func(i int) error) error {
-			for i := 0; i < n; i++ {
-				if err := fn(i); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if err := par(shards, body); err != nil {
-		return nil, err
-	}
-	merged := &CacheOutcome{Index: k, Time: outcomes[0].Time}
-	for sh, o := range outcomes {
-		if o.Time != merged.Time {
-			return nil, fmt.Errorf("crash: shard %d halted at time %d, shard 0 at %d", sh, o.Time, merged.Time)
-		}
-		merged.LostBytes += o.LostBytes
-		merged.SurvivedBytes += o.SurvivedBytes
-		if o.OldestLostAge > merged.OldestLostAge {
-			merged.OldestLostAge = o.OldestLostAge
-		}
-		merged.Violations = append(merged.Violations, o.Violations...)
-	}
-	return merged, nil
+	return out, nil
 }

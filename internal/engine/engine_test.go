@@ -132,70 +132,39 @@ func TestHooksSerializedAndCounted(t *testing.T) {
 	}
 }
 
-// TestSharedTokenBudgetCapsNestedConcurrency is the oversubscription
-// regression test: a -j4 grid whose every job fans out into 6 nested
-// shard items must never have more than 4 work units executing at once,
-// because grid workers and nested helpers draw down one shared token
-// budget. Before the budget existed, 8 grid jobs × 6 shard helpers could
-// put dozens of goroutines on the CPUs at once.
-func TestSharedTokenBudgetCapsNestedConcurrency(t *testing.T) {
-	const workers = 4
+// TestSharedTokenBudgetCapsConcurrentRuns is the oversubscription
+// regression test: two grids submitted at once from separate goroutines
+// to a four-worker engine must never have more than four jobs executing
+// together, because both callers and all their pool workers draw on one
+// token budget; and both grids must still run every job.
+func TestSharedTokenBudgetCapsConcurrentRuns(t *testing.T) {
+	const workers, jobs = 4, 16
 	e := New(workers)
-	var running, peak atomic.Int64
-	err := e.Run(context.Background(), 8, func(ctx context.Context, i int) error {
-		return e.Nested(ctx, 6, func(j int) error {
-			cur := running.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-			running.Add(-1)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
+	var ran [2]atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for g := range ran {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = e.Run(context.Background(), jobs, func(context.Context, int) error {
+				time.Sleep(2 * time.Millisecond)
+				ran[g].Add(1)
+				return nil
+			})
+		}()
 	}
-	if p := peak.Load(); p > workers {
-		t.Fatalf("counted %d concurrent work units, budget caps at %d", p, workers)
-	}
-	if m := e.Metrics(); m.PeakConcurrent > workers {
-		t.Fatalf("PeakConcurrent = %d, budget caps at %d", m.PeakConcurrent, workers)
-	}
-}
-
-func TestNestedLowestIndexErrorWins(t *testing.T) {
-	e := New(8)
-	err := e.Run(context.Background(), 1, func(ctx context.Context, _ int) error {
-		return e.Nested(ctx, 32, func(i int) error {
-			return fmt.Errorf("shard %d failed", i)
-		})
-	})
-	if err == nil || err.Error() != "shard 0 failed" {
-		t.Fatalf("err = %v, want shard 0's", err)
-	}
-}
-
-func TestNestedNilEngineIsSerial(t *testing.T) {
-	var e *Engine
-	var order []int
-	err := e.Nested(context.Background(), 10, func(i int) error {
-		order = append(order, i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("nil-engine Nested ran out of order: %v", order)
+	wg.Wait()
+	for g := range ran {
+		if errs[g] != nil {
+			t.Fatalf("grid %d: %v", g, errs[g])
+		}
+		if n := ran[g].Load(); n != jobs {
+			t.Fatalf("grid %d ran %d of %d jobs", g, n, jobs)
 		}
 	}
-	if len(order) != 10 {
-		t.Fatalf("ran %d of 10 items", len(order))
+	if m := e.Metrics(); m.PeakConcurrent > workers || m.JobsFinished != 2*jobs {
+		t.Fatalf("PeakConcurrent = %d (budget caps at %d), JobsFinished = %d", m.PeakConcurrent, workers, m.JobsFinished)
 	}
 }
 

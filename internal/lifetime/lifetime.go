@@ -458,10 +458,9 @@ func (s *Schedule) Blocks() int { return s.n }
 
 // ForEach visits every block's modification-time slice. Visit order is a
 // function of the table's internal layout: deterministic for a given
-// build history, but not sorted and not comparable across differently
-// built (for example sharded versus sequential) schedules — callers
-// needing a canonical order must sort the visited ids themselves. The
-// slices are owned by the schedule and read-only.
+// build history, but not sorted — callers needing a canonical order must
+// sort the visited ids themselves. The slices are owned by the schedule
+// and read-only.
 func (s *Schedule) ForEach(fn func(id cache.BlockID, ts []int64)) {
 	for i := range s.slots {
 		if sl := &s.slots[i]; sl.ts != nil {

@@ -191,33 +191,22 @@ func Figure3(ws *Workspace) (*PolicySweepResult, error) {
 	return Figure3Context(context.Background(), ws)
 }
 
-// Figure3Context submits one lockstep job per (trace, client shard):
-// each job decodes its trace once and feeds every NVRAM size's
-// simulation the same op, so a row costs one streaming pass per shard
-// instead of one per cell, and with shards the heavy traces' passes
-// split across workers instead of serializing the grid's tail. Shard
-// results merge per trace by the index-ordered sim.MergeShardResults
-// reducer, so rows assemble in trace order and the output is identical
-// at any worker and shard count.
+// Figure3Context submits one lockstep job per trace: each job decodes
+// its trace once and feeds every NVRAM size's simulation the same op, so
+// a row costs one streaming pass instead of one per cell. Rows assemble
+// in trace order, so the output is identical at any worker count.
 func Figure3Context(ctx context.Context, ws *Workspace) (*PolicySweepResult, error) {
 	traces := AllTraces()
 	sizes := DefaultNVRAMSizesMB
-	shards := ws.ShardWidth()
-	cells, err := engine.Map(ctx, ws.Engine(), len(traces)*shards, func(ctx context.Context, j int) ([]*sim.Result, error) {
-		sel := sim.ShardSel{Index: j % shards, Shards: shards}
-		return policyShardRow(ctx, ws, traces[j/shards], cache.Omniscient, true, sizes, sel)
+	rows, err := engine.Map(ctx, ws.Engine(), len(traces), func(ctx context.Context, i int) ([]float64, error) {
+		return policyRow(ctx, ws, traces[i], cache.Omniscient, true, sizes)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &PolicySweepResult{SizesMB: sizes}
-	for i, tr := range traces {
-		row, err := mergePolicyRow(cells[i*shards:(i+1)*shards], len(sizes))
-		if err != nil {
-			return nil, fmt.Errorf("report: figure 3 trace %d: %w", tr, err)
-		}
+	res := &PolicySweepResult{SizesMB: sizes, Frac: rows}
+	for _, tr := range traces {
 		res.Labels = append(res.Labels, fmt.Sprintf("trace%d", tr))
-		res.Frac = append(res.Frac, row)
 	}
 	return res, nil
 }
@@ -241,43 +230,33 @@ func Figure4(ws *Workspace) (*PolicySweepResult, error) {
 	return Figure4Context(context.Background(), ws)
 }
 
-// Figure4Context submits one lockstep job per (policy series, client
-// shard) on the model trace, merging shards per series and assembling
-// the series in declaration order.
+// Figure4Context submits one lockstep job per policy series on the model
+// trace, assembling the series in declaration order.
 func Figure4Context(ctx context.Context, ws *Workspace) (*PolicySweepResult, error) {
 	sizes := DefaultNVRAMSizesMB
-	shards := ws.ShardWidth()
-	cells, err := engine.Map(ctx, ws.Engine(), len(figure4Series)*shards, func(ctx context.Context, j int) ([]*sim.Result, error) {
-		pc := figure4Series[j/shards]
-		sel := sim.ShardSel{Index: j % shards, Shards: shards}
-		return policyShardRow(ctx, ws, ModelTrace, pc.kind, pc.writesOnly, sizes, sel)
+	rows, err := engine.Map(ctx, ws.Engine(), len(figure4Series), func(ctx context.Context, i int) ([]float64, error) {
+		pc := figure4Series[i]
+		return policyRow(ctx, ws, ModelTrace, pc.kind, pc.writesOnly, sizes)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &PolicySweepResult{SizesMB: sizes}
-	for i, pc := range figure4Series {
-		row, err := mergePolicyRow(cells[i*shards:(i+1)*shards], len(sizes))
-		if err != nil {
-			return nil, fmt.Errorf("report: figure 4 series %s: %w", pc.label, err)
-		}
+	res := &PolicySweepResult{SizesMB: sizes, Frac: rows}
+	for _, pc := range figure4Series {
 		res.Labels = append(res.Labels, pc.label)
-		res.Frac = append(res.Frac, row)
 	}
 	return res, nil
 }
 
-// policyShardRow runs one client shard of a (trace, policy) series of
-// the Figure 3/4 grids: a single streaming decode of the trace drives
-// one stepper per NVRAM size in lockstep via sim.Broadcast, which also
-// runs the op stream's cache-independent work (consistency protocol,
-// size tracking) once for the whole row. Each stepper's state is
-// exactly what a standalone sim.Run of its shard configuration would
-// reach, so merging the per-size results across shards (mergePolicyRow)
-// is byte-identical to simulating the cells sequentially, for one
-// decode pass, one protocol pass, and one walk of the op stream per
-// shard. With shard.Shards <= 1 this IS the sequential row.
-func policyShardRow(ctx context.Context, ws *Workspace, tr int, kind cache.PolicyKind, writesOnly bool, sizes []float64, shard sim.ShardSel) ([]*sim.Result, error) {
+// policyRow runs one (trace, policy) series of the Figure 3/4 grids and
+// returns its net write fraction at each NVRAM size: a single streaming
+// decode of the trace drives one stepper per NVRAM size in lockstep via
+// sim.Broadcast, which also runs the op stream's cache-independent work
+// (consistency protocol, size tracking) once for the whole row. Each
+// stepper's state is exactly what a standalone sim.Run of its
+// configuration would reach, so the row is byte-identical to simulating
+// the cells one by one, for one decode pass and one protocol pass.
+func policyRow(ctx context.Context, ws *Workspace, tr int, kind cache.PolicyKind, writesOnly bool, sizes []float64) ([]float64, error) {
 	src, err := ws.OpsSourceContext(ctx, tr)
 	if err != nil {
 		return nil, err
@@ -316,7 +295,6 @@ func policyShardRow(ctx context.Context, ws *Workspace, tr int, kind cache.Polic
 			Seed:       int64(tr),
 			WritesOnly: writesOnly,
 			FilesHint:  fh,
-			Shard:      shard,
 		})
 	}
 	bc, err := sim.NewBroadcast(steppers)
@@ -349,38 +327,10 @@ func policyShardRow(ctx context.Context, ws *Workspace, tr int, kind cache.Polic
 			return nil, err
 		}
 	}
-	out := make([]*sim.Result, len(sizes))
+	row := make([]float64, len(sizes))
 	for i, s := range steppers {
-		out[i] = s.Finish()
+		row[i] = s.Finish().Traffic.NetWriteFrac()
 		s.Release()
-	}
-	return out, nil
-}
-
-// mergePolicyRow reduces one series' per-shard, per-size results to the
-// row of net write fractions. shardCells[s][i] is shard s's result at
-// NVRAM size i; each size's shard results merge via sim.MergeShardResults
-// (field-wise traffic sums with replica cross-checks), a pure function
-// of the shard results in index order — deterministic at any worker
-// count, and for one shard the identity.
-func mergePolicyRow(shardCells [][]*sim.Result, sizes int) ([]float64, error) {
-	row := make([]float64, sizes)
-	if len(shardCells) == 1 {
-		for i, res := range shardCells[0] {
-			row[i] = res.Traffic.NetWriteFrac()
-		}
-		return row, nil
-	}
-	parts := make([]*sim.Result, len(shardCells))
-	for i := 0; i < sizes; i++ {
-		for s, cell := range shardCells {
-			parts[s] = cell[i]
-		}
-		merged, err := sim.MergeShardResults(parts)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = merged.Traffic.NetWriteFrac()
 	}
 	return row, nil
 }

@@ -81,23 +81,10 @@ type Workspace struct {
 
 	eng *engine.Engine
 
-	// shards, when > 0, forces that intra-trace shard width everywhere
-	// (1 disables sharding). Zero selects automatic widths: grid drivers
-	// use min(maxShardWidth, Workers()) and the memo builds size
-	// themselves by the engine's spare capacity at build time. Either
-	// way the output is shard-count-invariant, so the choice only
-	// affects wall-clock time, never bytes.
-	shards int
-
 	ops      engine.Memo[int, tracePasses]
 	analyses engine.Memo[int, *lifetime.Analysis]
 	scheds   engine.Memo[int, *lifetime.Schedule]
 }
-
-// maxShardWidth caps automatic intra-trace sharding. Beyond this the
-// replicated per-shard work (decode, canonicalize, consistency protocol)
-// outgrows the per-shard savings on the standard traces.
-const maxShardWidth = 8
 
 // tracePasses is the first-pass product for one trace: the NVFT-encoded
 // event stream, its canonical-op statistics, and the midpoint-op time the
@@ -115,21 +102,6 @@ func (p tracePasses) source() (prep.Source, error) {
 		return nil, err
 	}
 	return prep.NewSource(r, prep.Options{Trusted: true, FilesHint: p.stats.Files}), nil
-}
-
-// shardSource opens a decode restricted to file shard k of shards (plus
-// the migrate ops every shard needs); the lifetime passes consume these.
-// A filtered subsequence of a monotonic stream is still monotonic, so
-// Trusted decoding remains valid.
-func (p tracePasses) shardSource(k, shards int) (prep.Source, error) {
-	r, err := trace.NewBytesReader(p.enc)
-	if err != nil {
-		return nil, err
-	}
-	return prep.NewSource(&trace.ShardFilter{Src: r, Shard: k, Shards: shards}, prep.Options{
-		Trusted:   true,
-		FilesHint: p.stats.Files/shards + 1,
-	}), nil
 }
 
 // NewWorkspace returns a workspace at the given scale, running its
@@ -153,62 +125,6 @@ func (ws *Workspace) SetEngine(e *engine.Engine) {
 
 // Engine returns the runner the experiment drivers submit their grids to.
 func (ws *Workspace) Engine() *engine.Engine { return ws.eng }
-
-// SetShards forces the intra-trace shard width: 1 disables sharding,
-// 0 restores automatic sizing. Any width produces byte-identical
-// experiment output; this knob exists for benchmarking and for the
-// equivalence tests. Call before handing the workspace to concurrent
-// users.
-func (ws *Workspace) SetShards(k int) {
-	if k < 0 {
-		k = 0
-	}
-	ws.shards = k
-}
-
-// ShardWidth is the intra-trace shard width the grid drivers (Figures
-// 3-4) use: the forced width if set, else min(maxShardWidth, Workers()).
-// Grid drivers unroll shards into their job grids, so the engine's
-// worker cap — not this number — bounds actual concurrency.
-func (ws *Workspace) ShardWidth() int {
-	if ws.shards > 0 {
-		return ws.shards
-	}
-	w := ws.eng.Workers()
-	if w > maxShardWidth {
-		w = maxShardWidth
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// buildShardWidth sizes the opportunistic sharding of the memo builds
-// (analysis, schedule). Unlike the grid drivers these run via
-// engine.Nested on whatever goroutine asked first, so a width larger
-// than the spare capacity would serialize replicated per-shard work on
-// one caller — pure overhead. Width 1+Spare() makes a lone build use
-// idle workers and a build under a saturated grid stay sequential.
-func (ws *Workspace) buildShardWidth() int {
-	if ws.shards > 0 {
-		return ws.shards
-	}
-	w := 1 + ws.eng.Spare()
-	if w > maxShardWidth {
-		w = maxShardWidth
-	}
-	return w
-}
-
-// nestedPar adapts engine.Nested to the shard-runner signature the
-// lifetime mergers take. Background context for the same reason the
-// memo builds use it: a started build runs to completion.
-func (ws *Workspace) nestedPar() func(n int, fn func(i int) error) error {
-	return func(n int, fn func(i int) error) error {
-		return ws.eng.Nested(context.Background(), n, fn)
-	}
-}
 
 // OpsSource returns a fresh single-use cursor over the canonical op
 // stream of the given standard trace (1-based), encoding the trace on
@@ -337,13 +253,11 @@ func (ws *Workspace) AnalysisContext(ctx context.Context, tr int) (*lifetime.Ana
 		if err != nil {
 			return nil, err
 		}
-		k := ws.buildShardWidth()
-		a, err := lifetime.AnalyzeSharded(func(s int) (prep.Source, error) {
-			if k <= 1 {
-				return p.source()
-			}
-			return p.shardSource(s, k)
-		}, k, lifetime.Options{FilesHint: p.stats.Files}, ws.nestedPar())
+		src, err := p.source()
+		if err != nil {
+			return nil, err
+		}
+		a, err := lifetime.AnalyzeWith(src, lifetime.Options{FilesHint: p.stats.Files})
 		if err != nil {
 			return nil, fmt.Errorf("report: analyzing trace %d: %w", tr, err)
 		}
@@ -366,13 +280,11 @@ func (ws *Workspace) ScheduleContext(ctx context.Context, tr int) (*lifetime.Sch
 		if err != nil {
 			return nil, err
 		}
-		k := ws.buildShardWidth()
-		s, err := lifetime.BuildScheduleSharded(func(sh int) (prep.Source, error) {
-			if k <= 1 {
-				return p.source()
-			}
-			return p.shardSource(sh, k)
-		}, k, cache.DefaultBlockSize, ws.nestedPar())
+		src, err := p.source()
+		if err != nil {
+			return nil, err
+		}
+		s, err := lifetime.BuildSchedule(src, cache.DefaultBlockSize)
 		if err != nil {
 			return nil, fmt.Errorf("report: scheduling trace %d: %w", tr, err)
 		}

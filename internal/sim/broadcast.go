@@ -44,12 +44,7 @@ type Broadcast struct {
 	// write-back clock), letting Apply skip the per-stepper, per-client
 	// interface calls that would do nothing.
 	noAdvance []bool
-	// shard is the client shard every yoked stepper runs in (the zero
-	// value is unsharded); model access is gated on ownership exactly as
-	// in Stepper.apply, so K shard broadcasts over the same stream
-	// partition a row's per-client work without diverging.
-	shard ShardSel
-	idx   int
+	idx       int
 }
 
 // NewBroadcast yokes the given fresh steppers together: their consistency
@@ -70,19 +65,13 @@ func NewBroadcast(steppers []*Stepper) (*Broadcast, error) {
 			return nil, fmt.Errorf("sim: broadcast stepper %d uses the volatile model", i)
 		case d.cfg.WritesOnly != steppers[0].cfg.WritesOnly:
 			return nil, fmt.Errorf("sim: broadcast stepper %d disagrees on WritesOnly", i)
-		case d.cfg.Shard != steppers[0].cfg.Shard:
-			return nil, fmt.Errorf("sim: broadcast stepper %d disagrees on client shard", i)
 		}
-	}
-	if err := steppers[0].cfg.Shard.validate(); err != nil {
-		return nil, err
 	}
 	b := &Broadcast{
 		steppers:   steppers,
 		server:     steppers[0].server,
 		sizes:      steppers[0].sizes,
 		writesOnly: steppers[0].cfg.WritesOnly,
-		shard:      steppers[0].cfg.Shard,
 		touched:    make(map[uint64][]uint32),
 	}
 	b.noAdvance = make([]bool, len(steppers))
@@ -113,13 +102,9 @@ func (b *Broadcast) touch(client uint32, file uint64) {
 // Apply applies one operation to every stepper, running the shared
 // protocol and bookkeeping once. It mirrors Stepper.apply case by case.
 func (b *Broadcast) Apply(op prep.Op) error {
-	owned := b.shard.Owns(op.Client)
 	for i, d := range b.steppers {
 		d.now = op.Time
 		d.curClient = op.Client
-		if !owned {
-			continue
-		}
 		m, err := d.model(op.Client)
 		if err != nil {
 			return err
@@ -132,9 +117,8 @@ func (b *Broadcast) Apply(op prep.Op) error {
 	switch op.Kind {
 	case prep.Open:
 		res := b.server.Open(op.Client, op.File, op.WriteMode)
-		ownRecall := res.RecallFrom != consist.NoClient && b.shard.Owns(res.RecallFrom)
 		for _, d := range b.steppers {
-			if ownRecall {
+			if res.RecallFrom != consist.NoClient {
 				wm, err := d.model(res.RecallFrom)
 				if err != nil {
 					return err
@@ -154,7 +138,7 @@ func (b *Broadcast) Apply(op prep.Op) error {
 					d.models[c].Invalidate(op.Time, op.File)
 				}
 				d.curClient = op.Client
-			} else if res.InvalidateOpener && owned {
+			} else if res.InvalidateOpener {
 				d.models[op.Client].Invalidate(op.Time, op.File)
 			}
 		}
@@ -166,16 +150,12 @@ func (b *Broadcast) Apply(op prep.Op) error {
 		if b.writesOnly {
 			break
 		}
-		if owned {
-			b.touch(op.Client, op.File)
-		}
+		b.touch(op.Client, op.File)
 		if b.server.Disabled(op.File) {
-			if owned {
-				for _, d := range b.steppers {
-					d.models[op.Client].NoteConcurrent(true, op.Range.Len())
-					if h := d.cfg.Cache.Hooks; h != nil && h.Read != nil {
-						h.Read(op.Time, op.File, op.Range)
-					}
+			for _, d := range b.steppers {
+				d.models[op.Client].NoteConcurrent(true, op.Range.Len())
+				if h := d.cfg.Cache.Hooks; h != nil && h.Read != nil {
+					h.Read(op.Time, op.File, op.Range)
 				}
 			}
 			break
@@ -185,29 +165,23 @@ func (b *Broadcast) Apply(op prep.Op) error {
 			size = op.Range.End
 			b.sizes[op.File] = size
 		}
-		if owned {
-			for _, d := range b.steppers {
-				d.models[op.Client].Read(op.Time, op.File, op.Range, size)
-			}
+		for _, d := range b.steppers {
+			d.models[op.Client].Read(op.Time, op.File, op.Range, size)
 		}
 
 	case prep.Write:
-		if owned {
-			b.touch(op.Client, op.File)
-		}
+		b.touch(op.Client, op.File)
 		if op.Range.End > b.sizes[op.File] {
 			b.sizes[op.File] = op.Range.End
 		}
 		if b.server.Disabled(op.File) {
-			if owned {
-				for _, d := range b.steppers {
-					d.models[op.Client].NoteConcurrent(false, op.Range.Len())
-					if h := d.cfg.Cache.Hooks; h != nil && h.Write != nil {
-						h.Write(op.Time, op.File, op.Range, cache.CauseConcurrent, d.cfg.Model.StagesWritesInNVRAM())
-					}
+			for _, d := range b.steppers {
+				d.models[op.Client].NoteConcurrent(false, op.Range.Len())
+				if h := d.cfg.Cache.Hooks; h != nil && h.Write != nil {
+					h.Write(op.Time, op.File, op.Range, cache.CauseConcurrent, d.cfg.Model.StagesWritesInNVRAM())
 				}
 			}
-		} else if owned {
+		} else {
 			for _, d := range b.steppers {
 				d.models[op.Client].Write(op.Time, op.File, op.Range)
 			}
@@ -232,8 +206,7 @@ func (b *Broadcast) Apply(op prep.Op) error {
 				}
 			}
 			d.curClient = op.Client
-			// Exactly-once across shards: the issuing client's shard fires it.
-			if h := d.cfg.Cache.Hooks; owned && h != nil && h.Delete != nil {
+			if h := d.cfg.Cache.Hooks; h != nil && h.Delete != nil {
 				h.Delete(op.Time, op.File, op.Range)
 			}
 		}
@@ -245,17 +218,13 @@ func (b *Broadcast) Apply(op prep.Op) error {
 		}
 
 	case prep.Fsync:
-		if owned {
-			for _, d := range b.steppers {
-				d.models[op.Client].Fsync(op.Time, op.File)
-			}
+		for _, d := range b.steppers {
+			d.models[op.Client].Fsync(op.Time, op.File)
 		}
 
 	case prep.MigrateFlush:
-		if owned {
-			for _, d := range b.steppers {
-				d.models[op.Client].FlushAll(op.Time, cache.CauseMigration)
-			}
+		for _, d := range b.steppers {
+			d.models[op.Client].FlushAll(op.Time, cache.CauseMigration)
 		}
 		b.server.FlushedClient(op.Client)
 

@@ -46,48 +46,6 @@ type Config struct {
 	// process and recover the backlog from the file. nil (the default)
 	// keeps everything in memory, byte-identical to pre-image builds.
 	DurableImage *nvram.Image
-	// Shard restricts this stepper to one client shard: the stepper still
-	// consumes the full op stream (replicating the consistency protocol
-	// and file-size tracking, which are pure functions of it), but only
-	// instantiates and drives the cache models of clients it owns. K
-	// steppers with Shard {0..K-1, K} over the same stream partition the
-	// per-client work exactly; RunSharded merges their results into the
-	// sequential answer. The zero value is unsharded.
-	Shard ShardSel
-}
-
-// ShardSel selects one client shard of a sharded run. Clients are
-// assigned round-robin by id: shard Index of Shards owns client c iff
-// c % Shards == Index. The zero value (Shards <= 1) owns every client.
-//
-// Client sharding is exact for every cache organization because the two
-// pieces of cross-client state — the consistency server and the file
-// size table — are pure functions of the op stream, never of cache
-// contents: Open decides recalls from its own lastWriter bookkeeping and
-// clears the obligation itself (the recall flush's Flushed call is
-// always a no-op), Close/Write/Deleted/FlushedClient are unconditional,
-// the volatile model's Fsync-informs-server rule depends only on the
-// configured model kind, and replacement write-backs bypass the server
-// entirely. Each shard therefore replicates that state privately and
-// stays bit-identical to the sequential run's.
-type ShardSel struct {
-	Index  int
-	Shards int
-}
-
-// Enabled reports whether the selector names a real shard (Shards > 1).
-func (s ShardSel) Enabled() bool { return s.Shards > 1 }
-
-// Owns reports whether client c belongs to this shard.
-func (s ShardSel) Owns(c uint32) bool {
-	return s.Shards <= 1 || int(c)%s.Shards == s.Index
-}
-
-func (s ShardSel) validate() error {
-	if s.Shards > 1 && (s.Index < 0 || s.Index >= s.Shards) {
-		return fmt.Errorf("sim: shard index %d out of range for %d shards", s.Index, s.Shards)
-	}
-	return nil
 }
 
 // Result is the outcome of a simulation run.
@@ -390,25 +348,16 @@ func (d *Stepper) apply(op prep.Op) error {
 		d.fault.Advance(op.Time)
 	}
 	d.curClient = op.Client
-	// A sharded stepper replays the whole stream but touches only the
-	// cache models of clients it owns; the server and size-table updates
-	// below run unconditionally so every shard's replica of that shared
-	// state evolves exactly as the sequential run's does.
-	owned := d.cfg.Shard.Owns(op.Client)
-	var m cache.Model
-	if owned {
-		var err error
-		m, err = d.model(op.Client)
-		if err != nil {
-			return err
-		}
-		m.Advance(op.Time)
+	m, err := d.model(op.Client)
+	if err != nil {
+		return err
 	}
+	m.Advance(op.Time)
 
 	switch op.Kind {
 	case prep.Open:
 		res := d.server.Open(op.Client, op.File, op.WriteMode)
-		if res.RecallFrom != consist.NoClient && d.cfg.Shard.Owns(res.RecallFrom) {
+		if res.RecallFrom != consist.NoClient {
 			wm, err := d.model(res.RecallFrom)
 			if err != nil {
 				return err
@@ -416,23 +365,19 @@ func (d *Stepper) apply(op prep.Op) error {
 			wm.Advance(op.Time)
 			d.curClient = res.RecallFrom
 			if wm.FlushFile(op.Time, op.File, cache.CauseCallback) > 0 {
-				// A no-op on the server (Open cleared the obligation
-				// itself), so skipping it on shards that don't own the
-				// recalled client cannot make their replicas diverge.
 				d.server.Flushed(res.RecallFrom, op.File)
 			}
 			d.curClient = op.Client
 		}
 		if res.JustDisabled {
 			// Concurrent write-sharing: every cached copy is flushed and
-			// invalidated; subsequent I/O bypasses the caches. clientOrder
-			// holds only owned clients, so the walk shards itself.
+			// invalidated; subsequent I/O bypasses the caches.
 			for _, c := range d.clientOrder() {
 				d.curClient = c
 				d.models[c].Invalidate(op.Time, op.File)
 			}
 			d.curClient = op.Client
-		} else if res.InvalidateOpener && owned {
+		} else if res.InvalidateOpener {
 			m.Invalidate(op.Time, op.File)
 		}
 
@@ -444,11 +389,9 @@ func (d *Stepper) apply(op prep.Op) error {
 			return nil
 		}
 		if d.server.Disabled(op.File) {
-			if owned {
-				m.NoteConcurrent(true, op.Range.Len())
-				if h := d.cfg.Cache.Hooks; h != nil && h.Read != nil {
-					h.Read(op.Time, op.File, op.Range)
-				}
+			m.NoteConcurrent(true, op.Range.Len())
+			if h := d.cfg.Cache.Hooks; h != nil && h.Read != nil {
+				h.Read(op.Time, op.File, op.Range)
 			}
 			return nil
 		}
@@ -457,27 +400,21 @@ func (d *Stepper) apply(op prep.Op) error {
 			size = op.Range.End
 			d.sizes[op.File] = size
 		}
-		if owned {
-			m.Read(op.Time, op.File, op.Range, size)
-		}
+		m.Read(op.Time, op.File, op.Range, size)
 
 	case prep.Write:
 		if op.Range.End > d.sizes[op.File] {
 			d.sizes[op.File] = op.Range.End
 		}
 		if d.server.Disabled(op.File) {
-			if owned {
-				m.NoteConcurrent(false, op.Range.Len())
-				if h := d.cfg.Cache.Hooks; h != nil && h.Write != nil {
-					h.Write(op.Time, op.File, op.Range, cache.CauseConcurrent, d.cfg.Model.StagesWritesInNVRAM())
-				}
+			m.NoteConcurrent(false, op.Range.Len())
+			if h := d.cfg.Cache.Hooks; h != nil && h.Write != nil {
+				h.Write(op.Time, op.File, op.Range, cache.CauseConcurrent, d.cfg.Model.StagesWritesInNVRAM())
 			}
 			d.server.Write(op.Client, op.File)
 			return nil
 		}
-		if owned {
-			m.Write(op.Time, op.File, op.Range)
-		}
+		m.Write(op.Time, op.File, op.Range)
 		d.server.Write(op.Client, op.File)
 
 	case prep.DeleteRange:
@@ -491,9 +428,7 @@ func (d *Stepper) apply(op prep.Op) error {
 			d.models[c].DeleteRange(op.Time, op.File, op.Range)
 		}
 		d.curClient = op.Client
-		// The delete hook fires in the issuing client's shard, keeping it
-		// exactly-once across a sharded run, as in a sequential one.
-		if h := d.cfg.Cache.Hooks; owned && h != nil && h.Delete != nil {
+		if h := d.cfg.Cache.Hooks; h != nil && h.Delete != nil {
 			h.Delete(op.Time, op.File, op.Range)
 		}
 		if size := d.sizes[op.File]; op.Range.Start == 0 && op.Range.End >= size {
@@ -504,21 +439,14 @@ func (d *Stepper) apply(op prep.Op) error {
 		}
 
 	case prep.Fsync:
-		if owned {
-			m.Fsync(op.Time, op.File)
-		}
-		// Volatile caches flush to the server's disk on fsync; the server
-		// must learn that whether or not this shard owns the client, and
-		// the rule depends only on the configured model kind (every
-		// client's model is constructed with cfg.Model).
+		m.Fsync(op.Time, op.File)
+		// Volatile caches flush to the server's disk on fsync.
 		if d.cfg.Model == cache.ModelVolatile {
 			d.server.Flushed(op.Client, op.File)
 		}
 
 	case prep.MigrateFlush:
-		if owned {
-			m.FlushAll(op.Time, cache.CauseMigration)
-		}
+		m.FlushAll(op.Time, cache.CauseMigration)
 		d.server.FlushedClient(op.Client)
 
 	default:

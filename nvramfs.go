@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"nvramfs/internal/cache"
@@ -449,33 +448,6 @@ func (t *Trace) RunCache(cfg CacheConfig) (*CacheResult, error) {
 		return nil, err
 	}
 	return sim.Run(src, sc)
-}
-
-// RunCacheSharded simulates the trace under the configured cache model
-// with client-sharded parallelism: `shards` steppers each replay the
-// full op stream but simulate only their own clients' caches, running
-// on up to `workers` goroutines, and the per-shard results merge into
-// exactly RunCache's answer (the merge cross-checks the shards'
-// consistency-protocol replicas and fails loudly on divergence).
-// shards <= 1 degenerates to RunCache; shards <= 0 and workers <= 0
-// pick runtime.GOMAXPROCS(0), capped at 8 shards. Fault injection
-// (CacheConfig.Faults) is not shardable and is rejected.
-func (t *Trace) RunCacheSharded(cfg CacheConfig, shards, workers int) (*CacheResult, error) {
-	sc, err := t.simConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > 8 {
-			shards = 8
-		}
-	}
-	eng := engine.New(workers)
-	par := func(n int, fn func(i int) error) error {
-		return eng.Nested(context.Background(), n, fn)
-	}
-	return sim.RunSharded(t, sc, shards, par)
 }
 
 // CrashCache simulates the trace's first `at` operations under the
