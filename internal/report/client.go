@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
 	"nvramfs/internal/cache"
 	"nvramfs/internal/engine"
 	"nvramfs/internal/lifetime"
-	"nvramfs/internal/prep"
 	"nvramfs/internal/sim"
 	"nvramfs/internal/workload"
 )
@@ -249,18 +249,9 @@ func Figure4Context(ctx context.Context, ws *Workspace) (*PolicySweepResult, err
 }
 
 // policyRow runs one (trace, policy) series of the Figure 3/4 grids and
-// returns its net write fraction at each NVRAM size: a single streaming
-// decode of the trace drives one stepper per NVRAM size in lockstep via
-// sim.Broadcast, which also runs the op stream's cache-independent work
-// (consistency protocol, size tracking) once for the whole row. Each
-// stepper's state is exactly what a standalone sim.Run of its
-// configuration would reach, so the row is byte-identical to simulating
-// the cells one by one, for one decode pass and one protocol pass.
+// returns its net write fraction at each NVRAM size, simulating every size
+// in lockstep over one decode of the trace (Workspace.lockstep).
 func policyRow(ctx context.Context, ws *Workspace, tr int, kind cache.PolicyKind, writesOnly bool, sizes []float64) ([]float64, error) {
-	src, err := ws.OpsSourceContext(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
 	var sched cache.Schedule
 	if kind == cache.Omniscient {
 		s, err := ws.ScheduleContext(ctx, tr)
@@ -269,68 +260,27 @@ func policyRow(ctx context.Context, ws *Workspace, tr int, kind cache.PolicyKind
 		}
 		sched = s
 	}
-	var filesHint int
-	if st, err := ws.TraceStatsContext(ctx, tr); err == nil {
-		filesHint = st.Files
-	}
-	arena := getArena()
-	defer putArena(arena)
-	steppers := make([]*sim.Stepper, len(sizes))
+	cfgs := make([]sim.Config, len(sizes))
 	for i, mb := range sizes {
-		// Only stepper 0's server and size table survive NewBroadcast's
-		// yoking; don't pre-size the ones about to be discarded.
-		fh := 0
-		if i == 0 {
-			fh = filesHint
-		}
-		steppers[i] = sim.NewStepper(nil, sim.Config{
+		cfgs[i] = sim.Config{
 			Model: cache.ModelUnified,
 			Cache: cache.Config{
 				VolatileBlocks: sim.BlocksForBytes(8*sim.MB, cache.DefaultBlockSize),
 				NVRAMBlocks:    sim.BlocksForBytes(int64(mb*float64(sim.MB)), cache.DefaultBlockSize),
 				Policy:         kind,
 				Schedule:       sched,
-				Arena:          arena,
 			},
 			Seed:       int64(tr),
 			WritesOnly: writesOnly,
-			FilesHint:  fh,
-		})
+		}
 	}
-	bc, err := sim.NewBroadcast(steppers)
+	results, err := ws.lockstep(ctx, tr, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	const checkEvery = 4096
-	for n := 0; ; n++ {
-		if n%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		op, ok, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		// A writes-only row ignores reads entirely (Broadcast drops them
-		// before any cache or size-tracking effect), so skip the
-		// per-stepper dispatch. Traffic is unchanged: the only effect of
-		// feeding the read would be instantiating the reading client's
-		// empty cache model.
-		if writesOnly && op.Kind == prep.Read {
-			continue
-		}
-		if err := bc.Apply(op); err != nil {
-			return nil, err
-		}
-	}
 	row := make([]float64, len(sizes))
-	for i, s := range steppers {
-		row[i] = s.Finish().Traffic.NetWriteFrac()
-		s.Release()
+	for i, r := range results {
+		row[i] = r.Traffic.NetWriteFrac()
 	}
 	return row, nil
 }
@@ -407,53 +357,115 @@ func Figure6Context(ctx context.Context, ws *Workspace) (*ModelCompareResult, er
 	return modelCompare(ctx, ws, figure6Series)
 }
 
-// modelCompare submits the (series, extra MB) grid and assembles the
-// series in declaration order.
+// modelKey is the canonical configuration of one Figure 5/6 cell: the
+// cache model after the zero-NVRAM fallback and its memory in blocks. The
+// rest of the configuration (LRU, seed 7, the model trace) is common to
+// every cell, so equal keys are equal simulations.
+type modelKey struct {
+	model     cache.ModelKind
+	volBlocks int
+	nvBlocks  int // 0 for the volatile model, which has no NVRAM
+}
+
+// key is the series' cell at extra added megabytes: volatile memory for
+// the volatile model, NVRAM otherwise.
+func (mc modelSeries) key(extra float64) modelKey {
+	blocks := func(mb float64) int {
+		return sim.BlocksForBytes(int64(mb*float64(sim.MB)), cache.DefaultBlockSize)
+	}
+	if mc.model == cache.ModelVolatile || extra == 0 {
+		// Zero NVRAM degenerates to the volatile organization; all
+		// three series share their starting point.
+		return modelKey{model: cache.ModelVolatile, volBlocks: blocks(mc.baseMB + extra)}
+	}
+	return modelKey{model: mc.model, volBlocks: blocks(mc.baseMB), nvBlocks: blocks(extra)}
+}
+
+// modelCompare reads every (series, extra MB) cell from the workspace's
+// memoized model traffic and assembles the series in declaration order.
 func modelCompare(ctx context.Context, ws *Workspace, series []modelSeries) (*ModelCompareResult, error) {
 	extras := DefaultExtraMB
-	cells, err := engine.Map(ctx, ws.Engine(), len(series)*len(extras), func(ctx context.Context, k int) (float64, error) {
-		mc := series[k/len(extras)]
-		return modelCell(ctx, ws, mc.model, mc.baseMB, extras[k%len(extras)])
-	})
+	keys := make([]modelKey, 0, len(series)*len(extras))
+	for _, mc := range series {
+		for _, extra := range extras {
+			keys = append(keys, mc.key(extra))
+		}
+	}
+	traffic, err := ws.modelTraffic(ctx, keys)
 	if err != nil {
 		return nil, err
 	}
 	res := &ModelCompareResult{ExtraMB: extras}
 	for i, mc := range series {
+		row := make([]float64, len(extras))
+		for j := range extras {
+			row[j] = traffic[i*len(extras)+j].NetTotalFrac()
+		}
 		res.Labels = append(res.Labels, mc.label)
-		res.Frac = append(res.Frac, cells[i*len(extras):(i+1)*len(extras)])
+		res.Frac = append(res.Frac, row)
 	}
 	return res, nil
 }
 
-// modelCell measures net total traffic on the model trace for a cache
-// model growing from baseMB of volatile memory by extra megabytes
-// (volatile memory for the volatile model, NVRAM otherwise).
-func modelCell(ctx context.Context, ws *Workspace, model cache.ModelKind, baseMB, extra float64) (float64, error) {
-	src, err := ws.OpsSourceContext(ctx, ModelTrace)
+// modelTraffic returns the model trace's total traffic for each key,
+// simulating only the keys no earlier call has memoized. The missing keys
+// are grouped by model kind (sim.Broadcast yokes one kind at a time), and
+// each group is one engine job that drives a stepper per key over one
+// decode of the trace. A cell is a pure function of its key, so which
+// call simulates it never changes what any call returns; two concurrent
+// callers may both simulate a key and store the same traffic.
+func (ws *Workspace) modelTraffic(ctx context.Context, keys []modelKey) ([]cache.Traffic, error) {
+	var groups [][]modelKey
+	queued := make(map[modelKey]bool)
+	ws.cellsMu.Lock()
+	for _, k := range keys {
+		if _, ok := ws.cells[k]; ok || queued[k] {
+			continue
+		}
+		queued[k] = true
+		i := slices.IndexFunc(groups, func(g []modelKey) bool { return g[0].model == k.model })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], k)
+	}
+	ws.cellsMu.Unlock()
+
+	results, err := engine.Map(ctx, ws.Engine(), len(groups), func(ctx context.Context, i int) ([]*sim.Result, error) {
+		cfgs := make([]sim.Config, len(groups[i]))
+		for j, k := range groups[i] {
+			cfgs[j] = sim.Config{
+				Model: k.model,
+				Cache: cache.Config{
+					VolatileBlocks: k.volBlocks,
+					NVRAMBlocks:    k.nvBlocks,
+					Policy:         cache.LRU,
+				},
+				Seed: ModelTrace,
+			}
+		}
+		return ws.lockstep(ctx, ModelTrace, cfgs)
+	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	cfg := sim.Config{Model: model, Seed: 7}
-	volMB, nvMB := baseMB, extra
-	if model == cache.ModelVolatile {
-		volMB, nvMB = baseMB+extra, 0
+
+	ws.cellsMu.Lock()
+	defer ws.cellsMu.Unlock()
+	if ws.cells == nil {
+		ws.cells = make(map[modelKey]cache.Traffic)
 	}
-	if nvMB == 0 && model != cache.ModelVolatile {
-		// Zero NVRAM degenerates to the volatile organization; all
-		// three series share their starting point.
-		cfg.Model = cache.ModelVolatile
+	for i, g := range groups {
+		for j, k := range g {
+			ws.cells[k] = results[i][j].Traffic
+		}
 	}
-	cfg.Cache = cache.Config{
-		VolatileBlocks: sim.BlocksForBytes(int64(volMB*float64(sim.MB)), cache.DefaultBlockSize),
-		NVRAMBlocks:    sim.BlocksForBytes(int64(nvMB*float64(sim.MB)), cache.DefaultBlockSize),
-		Policy:         cache.LRU,
+	out := make([]cache.Traffic, len(keys))
+	for i, k := range keys {
+		out[i] = ws.cells[k]
 	}
-	res, err := ws.simCell(ctx, ModelTrace, src, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Traffic.NetTotalFrac(), nil
+	return out, nil
 }
 
 // Render writes the comparison as a table of series.
@@ -506,32 +518,17 @@ func BusTraffic(ws *Workspace) (*BusResult, error) {
 	return BusTrafficContext(context.Background(), ws)
 }
 
-// BusTrafficContext runs the two model simulations concurrently.
+// BusTrafficContext reads the two models' 8 MB + 8 MB cells, which are
+// Figure 5's +8 MB cells, from the workspace's memoized model traffic.
 func BusTrafficContext(ctx context.Context, ws *Workspace) (*BusResult, error) {
-	models := []cache.ModelKind{cache.ModelWriteAside, cache.ModelUnified}
-	traffics, err := engine.Map(ctx, ws.Engine(), len(models), func(ctx context.Context, i int) (*cache.Traffic, error) {
-		src, err := ws.OpsSourceContext(ctx, ModelTrace)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ws.simCell(ctx, ModelTrace, src, sim.Config{
-			Model: models[i],
-			Cache: cache.Config{
-				VolatileBlocks: sim.BlocksForBytes(8*sim.MB, cache.DefaultBlockSize),
-				NVRAMBlocks:    sim.BlocksForBytes(8*sim.MB, cache.DefaultBlockSize),
-				Policy:         cache.LRU,
-			},
-			Seed: 7,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &res.Traffic, nil
+	traffic, err := ws.modelTraffic(ctx, []modelKey{
+		modelSeries{model: cache.ModelWriteAside, baseMB: 8}.key(8),
+		modelSeries{model: cache.ModelUnified, baseMB: 8}.key(8),
 	})
 	if err != nil {
 		return nil, err
 	}
-	wa, un := traffics[0], traffics[1]
+	wa, un := traffic[0], traffic[1]
 	return &BusResult{
 		WriteAsideBusWrite: wa.BusWriteBytes,
 		UnifiedBusWrite:    un.BusWriteBytes,

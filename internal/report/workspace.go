@@ -62,9 +62,77 @@ func (ws *Workspace) simCell(ctx context.Context, tr int, src prep.Source, cfg s
 	return res, err
 }
 
+// lockstep simulates every configuration over one streaming decode of the
+// trace: sim.Broadcast feeds each op to one stepper per configuration and
+// runs the op stream's cache-independent work (consistency protocol, size
+// tracking) once for the lot. Each stepper's state is exactly what a
+// standalone sim.Run of its configuration would reach, so the results are
+// those of simulating the cells one by one, for one decode pass and one
+// protocol pass. The configurations must be Broadcast-compatible; the
+// helper attaches a pooled block arena and the trace's file-count hint.
+func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([]*sim.Result, error) {
+	src, err := ws.OpsSourceContext(ctx, tr)
+	if err != nil {
+		return nil, err
+	}
+	var filesHint int
+	if st, err := ws.TraceStatsContext(ctx, tr); err == nil {
+		filesHint = st.Files
+	}
+	arena := getArena()
+	defer putArena(arena)
+	steppers := make([]*sim.Stepper, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Cache.Arena = arena
+		// Only stepper 0's server and size table survive NewBroadcast's
+		// yoking; don't pre-size the ones about to be discarded.
+		if i == 0 {
+			cfg.FilesHint = filesHint
+		}
+		steppers[i] = sim.NewStepper(nil, cfg)
+	}
+	bc, err := sim.NewBroadcast(steppers)
+	if err != nil {
+		return nil, err
+	}
+	// A writes-only set ignores reads entirely (Broadcast drops them
+	// before any cache or size-tracking effect), so skip the per-stepper
+	// dispatch. Traffic is unchanged: the only effect of feeding the read
+	// would be instantiating the reading client's empty cache model.
+	skipReads := cfgs[0].WritesOnly
+	const checkEvery = 4096
+	for n := 0; ; n++ {
+		if n%checkEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		op, ok, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if skipReads && op.Kind == prep.Read {
+			continue
+		}
+		if err := bc.Apply(op); err != nil {
+			return nil, err
+		}
+	}
+	results := make([]*sim.Result, len(steppers))
+	for i, s := range steppers {
+		results[i] = s.Finish()
+		s.Release()
+	}
+	return results, nil
+}
+
 // Workspace generates and caches the standard traces — as compact
 // delta-encoded NVFT bytes, not materialized op slices — plus their
-// lifetime analyses and omniscient schedules, so that the experiment
+// lifetime analyses and omniscient schedules, and the model trace's
+// traffic per Figure 5/6 cell configuration, so that the experiment
 // drivers can share passes the way the paper's simulator did while every
 // consumer streams ops through a fresh decode cursor in bounded memory.
 //
@@ -73,7 +141,8 @@ func (ws *Workspace) simCell(ctx context.Context, tr int, src prep.Source, cfg s
 // build in parallel. The cached values (encoded traces, analyses,
 // schedules) are immutable after construction and safe to read from any
 // goroutine; cursors handed out by OpsSource are independent and
-// single-use.
+// single-use. The cell traffic is memoized under a mutex instead, because
+// cells are simulated in groups (modelTraffic).
 type Workspace struct {
 	// Scale is the workload volume scale (1.0 = paper scale). Experiments
 	// in tests use small scales for speed.
@@ -84,6 +153,12 @@ type Workspace struct {
 	ops      engine.Memo[int, tracePasses]
 	analyses engine.Memo[int, *lifetime.Analysis]
 	scheds   engine.Memo[int, *lifetime.Schedule]
+
+	// cells memoizes the model trace's traffic per Figure 5/6 cell
+	// configuration (modelTraffic), shared by both figures and the bus
+	// study.
+	cellsMu sync.Mutex
+	cells   map[modelKey]cache.Traffic
 }
 
 // tracePasses is the first-pass product for one trace: the NVFT-encoded

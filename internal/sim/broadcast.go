@@ -13,18 +13,22 @@ import (
 // sharing the operation's cache-independent work — the consistency
 // protocol, file-size tracking, and the per-file touched-client index —
 // across all of them. The report sweeps use it to simulate every NVRAM
-// size of a row for one decode pass and one protocol pass.
+// size of a row, or every memory size of one cache model, for one decode
+// pass and one protocol pass.
 //
-// Sharing is sound because for the NVRAM-staging cache models the
-// consistency server's evolution is a pure function of the op stream,
-// never of cache contents: Open decides and clears the recall obligation
-// itself (so the follow-up Flushed call is a no-op whether or not the
-// recalled cache held dirty bytes), Close/Write/Deleted/FlushedClient are
-// unconditional, and replacement write-backs bypass the server entirely.
-// The two couplings that would break this are rejected by NewBroadcast:
-// the volatile model (whose Fsync informs the server) and fault injection
-// (whose delivery stage feeds cache-dependent write-backs into the
-// server's replay detector).
+// Sharing is sound because the consistency server's evolution is a pure
+// function of the op stream, never of cache contents: Open decides and
+// clears the recall obligation itself (so the follow-up Flushed call is a
+// no-op whether or not the recalled cache held dirty bytes),
+// Close/Write/Deleted/FlushedClient are unconditional, and replacement
+// write-backs bypass the server entirely. The volatile model adds one
+// call: on Fsync it tells the server that the client's dirty data for the
+// file has reached it, whatever the cache held, so an all-volatile set
+// still shares one server exactly and Apply makes the call once per
+// Fsync. NewBroadcast rejects what would break the sharing: a set mixing
+// volatile with NVRAM-staging steppers (the one server would have to both
+// take and skip that call) and fault injection (whose delivery stage
+// feeds cache-dependent write-backs into the server's replay detector).
 //
 // Every stepper's state after Apply is exactly the state Stepper.apply
 // would have produced for the same op; TestBroadcastMatchesIndependentRuns
@@ -34,6 +38,8 @@ type Broadcast struct {
 	server     *consist.Server
 	sizes      map[uint64]int64
 	writesOnly bool
+	// volatile marks an all-volatile set, whose Fsync informs the server.
+	volatile bool
 	// touched lists, per file in ascending order, the clients that ever
 	// issued a read or write on it — a conservative superset of the
 	// clients whose caches can hold the file's blocks, letting deletes
@@ -49,8 +55,9 @@ type Broadcast struct {
 
 // NewBroadcast yokes the given fresh steppers together: their consistency
 // servers and size tables are replaced by shared ones, so they must not
-// have applied any operations yet. All steppers must agree on WritesOnly,
-// use an NVRAM-staging model, and run without fault injection.
+// have applied any operations yet. All steppers must agree on WritesOnly
+// and on whether their model is volatile, and run without fault
+// injection.
 func NewBroadcast(steppers []*Stepper) (*Broadcast, error) {
 	if len(steppers) == 0 {
 		return nil, fmt.Errorf("sim: broadcast over no steppers")
@@ -61,8 +68,8 @@ func NewBroadcast(steppers []*Stepper) (*Broadcast, error) {
 			return nil, fmt.Errorf("sim: broadcast stepper %d already at op %d", i, d.idx)
 		case d.cfg.Faults != nil:
 			return nil, fmt.Errorf("sim: broadcast stepper %d has fault injection", i)
-		case d.cfg.Model == cache.ModelVolatile:
-			return nil, fmt.Errorf("sim: broadcast stepper %d uses the volatile model", i)
+		case (d.cfg.Model == cache.ModelVolatile) != (steppers[0].cfg.Model == cache.ModelVolatile):
+			return nil, fmt.Errorf("sim: broadcast stepper %d mixes volatile and NVRAM-staging models", i)
 		case d.cfg.WritesOnly != steppers[0].cfg.WritesOnly:
 			return nil, fmt.Errorf("sim: broadcast stepper %d disagrees on WritesOnly", i)
 		}
@@ -72,6 +79,7 @@ func NewBroadcast(steppers []*Stepper) (*Broadcast, error) {
 		server:     steppers[0].server,
 		sizes:      steppers[0].sizes,
 		writesOnly: steppers[0].cfg.WritesOnly,
+		volatile:   steppers[0].cfg.Model == cache.ModelVolatile,
 		touched:    make(map[uint64][]uint32),
 	}
 	b.noAdvance = make([]bool, len(steppers))
@@ -220,6 +228,9 @@ func (b *Broadcast) Apply(op prep.Op) error {
 	case prep.Fsync:
 		for _, d := range b.steppers {
 			d.models[op.Client].Fsync(op.Time, op.File)
+		}
+		if b.volatile {
+			b.server.Flushed(op.Client, op.File)
 		}
 
 	case prep.MigrateFlush:

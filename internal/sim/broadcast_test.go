@@ -2,9 +2,12 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"nvramfs/internal/cache"
+	"nvramfs/internal/faults"
+	"nvramfs/internal/interval"
 	"nvramfs/internal/lifetime"
 	"nvramfs/internal/prep"
 )
@@ -33,6 +36,43 @@ func broadcastConfigs(sched cache.Schedule, writesOnly bool) []Config {
 	return cfgs
 }
 
+// volatileConfigs is a spread of volatile cache sizes under LRU: the
+// all-volatile set a Broadcast accepts.
+func volatileConfigs() []Config {
+	var cfgs []Config
+	for _, vol := range []int{8, 64, 128, 512} {
+		cfgs = append(cfgs, Config{
+			Model: cache.ModelVolatile,
+			Cache: cache.Config{VolatileBlocks: vol, Policy: cache.LRU},
+			Seed:  42,
+		})
+	}
+	return cfgs
+}
+
+// withFsyncHandoff appends to a trace a file that one client writes and
+// fsyncs and another client then opens. The generated traces never open an
+// fsynced file from another client before its writer touches it again, so
+// without this tail the volatile model's Fsync call on the server would
+// change no result (the open recalls only if the call was skipped).
+func withFsyncHandoff(ops []prep.Op) []prep.Op {
+	last := ops[len(ops)-1]
+	var file uint64
+	for _, op := range ops {
+		file = max(file, op.File)
+	}
+	file++
+	t := last.Time + 1_000_000
+	return append(slices.Clip(ops),
+		openOp(t, 1, file, true),
+		prep.Op{Time: t + 1, Client: 1, Kind: prep.Write, File: file, Range: interval.Range{End: 4096}},
+		prep.Op{Time: t + 2, Client: 1, Kind: prep.Fsync, File: file},
+		prep.Op{Time: t + 3, Client: 1, Kind: prep.Close, File: file},
+		openOp(t+4, 2, file, false),
+		prep.Op{Time: t + 5, Client: 2, Kind: prep.Close, File: file},
+	)
+}
+
 // runBroadcast drives ops through fresh steppers yoked by a Broadcast.
 func runBroadcast(t *testing.T, ops []prep.Op, cfgs []Config) []*Result {
 	t.Helper()
@@ -59,35 +99,35 @@ func runBroadcast(t *testing.T, ops []prep.Op, cfgs []Config) []*Result {
 
 // TestBroadcastMatchesIndependentRuns holds a Broadcast row equal to
 // independent sim.Run passes, configuration by configuration, across
-// models, policies, and both WritesOnly settings, on a trace with every
-// op kind (writes, reads, deletes, fsyncs, migrations, shared files).
+// models (an all-volatile set included), policies, and both WritesOnly
+// settings, on a trace with every op kind (writes, reads, deletes, fsyncs,
+// migrations, shared files).
 func TestBroadcastMatchesIndependentRuns(t *testing.T) {
-	ops := traceOps(t, 7, 0.02)
+	ops := withFsyncHandoff(traceOps(t, 7, 0.02))
 	sched, err := lifetime.BuildSchedule(prep.NewSliceSource(ops), cache.DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name       string
-		sched      cache.Schedule
-		writesOnly bool
+		name string
+		cfgs []Config
 	}{
-		{"lru", nil, false},
-		{"lru-writes-only", nil, true},
-		{"omniscient-writes-only", sched, true},
+		{"lru", broadcastConfigs(nil, false)},
+		{"lru-writes-only", broadcastConfigs(nil, true)},
+		{"omniscient-writes-only", broadcastConfigs(sched, true)},
+		{"volatile-lru", volatileConfigs()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfgs := broadcastConfigs(tc.sched, tc.writesOnly)
-			got := runBroadcast(t, ops, cfgs)
-			for i, cfg := range cfgs {
+			got := runBroadcast(t, ops, tc.cfgs)
+			for i, cfg := range tc.cfgs {
 				want, err := RunOps(ops, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got[i], want) {
-					t.Errorf("config %d (nv=%d): broadcast result diverges\n got %+v\nwant %+v",
-						i, cfg.Cache.NVRAMBlocks, got[i], want)
+					t.Errorf("config %d (vol=%d nv=%d): broadcast result diverges\n got %+v\nwant %+v",
+						i, cfg.Cache.VolatileBlocks, cfg.Cache.NVRAMBlocks, got[i], want)
 				}
 			}
 		})
@@ -122,8 +162,17 @@ func TestBroadcastRejectsUnsupported(t *testing.T) {
 		t.Error("empty stepper list accepted")
 	}
 	vol := NewStepper(nil, Config{Model: cache.ModelVolatile, Cache: cache.Config{VolatileBlocks: 8}})
-	if _, err := NewBroadcast([]*Stepper{vol}); err == nil {
-		t.Error("volatile model accepted")
+	uni := NewStepper(nil, Config{Model: cache.ModelUnified, Cache: cache.Config{VolatileBlocks: 8, NVRAMBlocks: 8}})
+	if _, err := NewBroadcast([]*Stepper{vol, uni}); err == nil {
+		t.Error("mixed volatile and unified models accepted")
+	}
+	faulty := NewStepper(nil, Config{
+		Model:  cache.ModelUnified,
+		Cache:  cache.Config{VolatileBlocks: 8, NVRAMBlocks: 8},
+		Faults: &faults.Profile{Seed: 1},
+	})
+	if _, err := NewBroadcast([]*Stepper{faulty}); err == nil {
+		t.Error("fault injection accepted")
 	}
 	a := NewStepper(nil, Config{Model: cache.ModelUnified, Cache: cache.Config{VolatileBlocks: 8, NVRAMBlocks: 8}})
 	b := NewStepper(nil, Config{Model: cache.ModelUnified, Cache: cache.Config{VolatileBlocks: 8, NVRAMBlocks: 8}, WritesOnly: true})
