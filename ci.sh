@@ -28,7 +28,7 @@ fi
 # Quick path first: the plain -short suite (including the crash-injection
 # sweeps and the live nvramd kill/restart test) finishes in about a minute
 # and catches most breakage before the full -race pass, which takes
-# about 8 minutes on a 2-CPU box (this whole script about 11.5).
+# about 8 minutes on a 2-CPU box (this whole script about 12).
 go test -short ./...
 
 # The benchmark is a nested module (bench/go.mod, replace => ..) that the
