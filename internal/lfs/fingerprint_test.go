@@ -1,0 +1,101 @@
+package lfs
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+)
+
+// cleanerWorkload drives a small disk with a seeded random mix of writes,
+// overwrites, deletes, fsyncs and checkpoints — hard enough that the
+// cleaner runs many times — crashing and recovering once halfway so the
+// recovered instance's cleaner state is exercised too. Simulated time
+// strictly increases between operations.
+func cleanerWorkload(t *testing.T, seed int64, cfg Config) *FS {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	fs := newFS(t, cfg)
+	const (
+		files     = 24
+		maxBlocks = 160 // per file: 24*160 blocks stay under half of 64 segments
+		ops       = 12000
+	)
+	var now int64
+	for i := 0; i < ops; i++ {
+		now += 1 + rng.Int63n(2*sec)
+		if rng.Intn(200) == 0 {
+			now += 40 * sec // idle long enough for the age flush
+		}
+		file := uint64(1 + rng.Intn(files))
+		switch r := rng.Intn(100); {
+		case r < 70:
+			start := rng.Int63n(maxBlocks)
+			n := 1 + rng.Int63n(min(maxBlocks-start, 48))
+			fs.Write(now, file, start*4*kb, n*4*kb)
+		case r < 75:
+			fs.Delete(now, file)
+		case r < 98:
+			fs.Fsync(now, file)
+		default:
+			fs.Checkpoint(now)
+		}
+		if i == ops/2 {
+			rec, _, err := fs.SimulateCrashAndRecover(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs = rec
+		}
+	}
+	fs.Shutdown(now + sec)
+	if err := fs.checkConsistent(); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestCleanerFingerprints pins the complete outcome — every Stats counter
+// and the DurableFingerprint — of seeded random workloads on small disks,
+// with and without the write buffer and under both cleaner policies. A
+// change to how the cleaner finds its victims or collects their blocks
+// must leave every value in place: victim order and copy-out order decide
+// where each block lands.
+func TestCleanerFingerprints(t *testing.T) {
+	cases := []struct {
+		seed     int64
+		segments int
+		buffer   int64
+		policy   CleanPolicy
+		stats    uint64 // FNV-1a of the %+v-formatted Stats
+		durable  uint64 // DurableFingerprint
+	}{
+		{1, 64, 0, CleanGreedy, 0xf26120f3a993e238, 0x1903ce2e51ac104e},
+		{1, 64, 512 * kb, CleanGreedy, 0xac6393f377db712a, 0x3696f5133be92b3f},
+		{1, 64, 0, CleanCostBenefit, 0x762a8fcf553744a9, 0x9fc6a5d99ab26c87},
+		{1, 64, 512 * kb, CleanCostBenefit, 0xa75cec14bb389383, 0x2e07b5a2147a708a},
+		{2, 96, 0, CleanGreedy, 0x8c34691ce5c31295, 0x945e190eba5ca870},
+		{2, 96, 512 * kb, CleanGreedy, 0xe12b69f35c9e1386, 0x2abf7254ddb2536d},
+		{2, 96, 0, CleanCostBenefit, 0x17750b08561f9ca7, 0x2078e5539be894c5},
+		{2, 96, 512 * kb, CleanCostBenefit, 0x9a8caaa5ccd6667d, 0x58e4fe50224faa84},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("seed%d/%dsegs/buf%d/%v", c.seed, c.segments, c.buffer, c.policy)
+		t.Run(name, func(t *testing.T) {
+			fs := cleanerWorkload(t, c.seed, Config{
+				DiskSegments: c.segments, CleanLowWater: 8, CleanHighWater: 16,
+				BufferBytes: c.buffer, Cleaner: c.policy,
+			})
+			st := fs.Stats()
+			if st.CleanerRuns == 0 || st.CleanerBlocksCopied == 0 {
+				t.Fatalf("cleaner idle: %+v", *st)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%+v", *st)
+			if got, fp := h.Sum64(), fs.DurableFingerprint(); got != c.stats || fp != c.durable {
+				t.Errorf("stats digest %#x, fingerprint %#x; pinned %#x, %#x\nstats: %+v",
+					got, fp, c.stats, c.durable, *st)
+			}
+		})
+	}
+}
