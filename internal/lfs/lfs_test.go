@@ -98,6 +98,31 @@ func TestOverwriteAbsorbedBeforeDisk(t *testing.T) {
 	}
 }
 
+// TestAgeFlushWritesRedirtiedBlockOnce re-dirties a block at the same
+// instant it was written out, which leaves two age-heap entries with the
+// same (time, block). The age flush must write the block once.
+func TestAgeFlushWritesRedirtiedBlockOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		writeOut func(fs *FS, per int64)
+	}{
+		{"full segment", func(fs *FS, per int64) { fs.Write(0, 1, 0, per*4*kb) }},
+		{"fsync", func(fs *FS, per int64) { fs.Write(0, 1, 0, 4*kb); fs.Fsync(0, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newFS(t, Config{})
+			per := int64(fs.Config().BlocksPerSegment())
+			tc.writeOut(fs, per)
+			written := fs.Stats().FileDataBytes
+			fs.Write(0, 1, 0, 4*kb) // block 0 again, same instant
+			fs.Advance(60 * sec)
+			if got := fs.Stats().FileDataBytes - written; got != 4*kb {
+				t.Fatalf("age flush wrote %d bytes for one re-dirtied block", got)
+			}
+		})
+	}
+}
+
 func TestDeletePendingBlocksAbsorbed(t *testing.T) {
 	fs := newFS(t, Config{})
 	fs.Write(0, 1, 0, 8*kb)
