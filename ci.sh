@@ -28,7 +28,7 @@ fi
 # Quick path first: the plain -short suite (including the crash-injection
 # sweeps and the live nvramd kill/restart test) finishes in about a minute
 # and catches most breakage before the full -race pass, which takes
-# about 8 minutes on a 2-CPU box (this whole script about 12).
+# about 11 minutes on a 2-CPU box (this whole script about 16).
 go test -short ./...
 
 # The benchmark is a nested module (bench/go.mod, replace => ..) that the
@@ -38,10 +38,11 @@ go test -short ./...
 
 # And run it, briefly: the live workloads exit non-zero on any broken
 # conservation, corpse-image, RECOVERED= or zero-records check, and a change
-# that breaks one should fail here, not as a rejected benchmark run. About
-# 12 s in all; the benchmark refuses to run on fewer than two CPUs.
+# that breaks one should fail here, not as a rejected benchmark run;
+# sweep_server checks that repeated server studies hash alike. About
+# 16 s in all; the benchmark refuses to run on fewer than two CPUs.
 if [ "$(nproc)" -ge 2 ]; then
-	for w in daemon_park daemon_mix daemon_open; do
+	for w in daemon_park daemon_mix daemon_open sweep_server; do
 		bash bench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0
 	done
 	bash bench/run.sh --workload daemon_park --seed 1 --seconds 2 --trace 1
