@@ -123,6 +123,28 @@ func TestAgeFlushWritesRedirtiedBlockOnce(t *testing.T) {
 	}
 }
 
+// TestDrainWritesEachBlockOnce deletes and rewrites pending blocks at one
+// instant, which leaves two age-heap entries with equal (time, block) that
+// both read as live, and then fills a segment at that instant. The drain
+// must take each block once: with a duplicate in the segment, blocks of the
+// filler would be left over for the shutdown flush.
+func TestDrainWritesEachBlockOnce(t *testing.T) {
+	fs := newFS(t, Config{})
+	per := int64(fs.Config().BlocksPerSegment())
+	const rewritten = 8
+	fs.Write(0, 1, 0, rewritten*4*kb)
+	fs.Delete(0, 1)
+	fs.Write(0, 1, 0, rewritten*4*kb)
+	fs.Write(0, 2, 0, (per-rewritten)*4*kb) // the distinct blocks fill one segment
+	if got := fs.Stats().FullSegments; got != 1 {
+		t.Fatalf("full segments = %d, want 1", got)
+	}
+	fs.Shutdown(sec)
+	if got, want := fs.Stats().FileDataBytes, per*4*kb; got != want {
+		t.Fatalf("wrote %d bytes of file data for %d distinct blocks (%d bytes)", got, per, want)
+	}
+}
+
 func TestDeletePendingBlocksAbsorbed(t *testing.T) {
 	fs := newFS(t, Config{})
 	fs.Write(0, 1, 0, 8*kb)
