@@ -57,7 +57,7 @@ func decodeBufKey(key string) (blockID, error) {
 
 // bufferAdd parks a block in the NVRAM buffer (and the image, if attached).
 func (fs *FS) bufferAdd(id blockID) {
-	fs.buffered[id] = struct{}{}
+	fs.buffered.put(id, struct{}{})
 	if fs.img != nil {
 		fs.img.Put(nvram.NSLFSBuffer, bufKey(id), nil)
 	}
@@ -65,7 +65,7 @@ func (fs *FS) bufferAdd(id blockID) {
 
 // bufferRemove drops a block from the NVRAM buffer (and the image).
 func (fs *FS) bufferRemove(id blockID) {
-	delete(fs.buffered, id)
+	fs.buffered.del(id)
 	if fs.img != nil {
 		fs.img.Delete(nvram.NSLFSBuffer, bufKey(id))
 	}
@@ -197,14 +197,19 @@ func decodeCheckpoint(b []byte) (*checkpointRec, error) {
 	return cp, nil
 }
 
+// bufferedIDs returns the NVRAM write buffer's contents in (file, index)
+// order.
+func (fs *FS) bufferedIDs() []blockID {
+	ids := make([]blockID, 0, fs.buffered.len())
+	fs.buffered.each(func(id blockID, _ struct{}) { ids = append(ids, id) })
+	sortBlockIDs(ids)
+	return ids
+}
+
 // BufferedBlockRefs returns the NVRAM write buffer's contents in
 // (file, index) order — the oracle side of the harness comparison.
 func (fs *FS) BufferedBlockRefs() []BlockRef {
-	ids := make([]blockID, 0, len(fs.buffered))
-	for id := range fs.buffered {
-		ids = append(ids, id)
-	}
-	sortBlockIDs(ids)
+	ids := fs.bufferedIDs()
 	out := make([]BlockRef, len(ids))
 	for i, id := range ids {
 		out[i] = BlockRef{File: id.file, Index: id.index}
@@ -264,7 +269,7 @@ func RecoverCheckpointSeq(img *nvram.Image) (seq int64, ok bool, err error) {
 // crash never destroys. Recovering the same FS both ways must yield equal
 // DurableFingerprints; the crash harness asserts exactly that.
 func (fs *FS) SimulateCrashAndRecoverFromImage(now int64, img *nvram.Image) (*FS, RecoveryReport, error) {
-	buffered := make(map[blockID]struct{})
+	var buffered []blockID
 	var firstErr error
 	img.ForEach(nvram.NSLFSBuffer, func(key string, payload []byte) {
 		id, err := decodeBufKey(key)
@@ -274,7 +279,7 @@ func (fs *FS) SimulateCrashAndRecoverFromImage(now int64, img *nvram.Image) (*FS
 			}
 			return
 		}
-		buffered[id] = struct{}{}
+		buffered = append(buffered, id)
 	})
 	if firstErr != nil {
 		return nil, RecoveryReport{}, firstErr

@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nvramfs/internal/nvram"
@@ -59,16 +60,14 @@ func (cp *checkpointRec) clone() *checkpointRec {
 func (fs *FS) snapshot() *checkpointRec {
 	cp := &checkpointRec{
 		seq:      fs.seq,
-		blockSeg: make(map[blockID]int32, len(fs.blockSeg)),
+		blockSeg: make(map[blockID]int32, fs.blockSeg.len()),
 		files:    make(map[uint64]int64, len(fs.files)),
 		segLive:  append([]int32(nil), fs.segLive...),
 		free:     append([]int32(nil), fs.free...),
 	}
-	for k, v := range fs.blockSeg {
-		cp.blockSeg[k] = v
-	}
-	for k, v := range fs.files {
-		cp.files[k] = v
+	fs.blockSeg.each(func(id blockID, seg int32) { cp.blockSeg[id] = seg })
+	for k, f := range fs.files {
+		cp.files[k] = f.extent
 	}
 	return cp
 }
@@ -99,7 +98,7 @@ func (fs *FS) Checkpoint(now int64) {
 	// A checkpoint region write: metadata snapshot, sized roughly by the
 	// live-block pointer count (8 bytes a pointer, one 4 KB block
 	// minimum).
-	size := int64(len(fs.blockSeg))*8 + int64(len(fs.segLive))*4
+	size := int64(fs.blockSeg.len())*8 + int64(len(fs.segLive))*4
 	if size < fs.cfg.BlockSize {
 		size = fs.cfg.BlockSize
 	}
@@ -134,16 +133,16 @@ type RecoveryReport struct {
 // so the two instances can both keep running (the harness's differential
 // crashed-vs-recovered-vs-oracle comparisons depend on this).
 func (fs *FS) SimulateCrashAndRecover(now int64) (*FS, RecoveryReport, error) {
-	return fs.recoverWith(now, fs.buffered, fs.checkpoint)
+	return fs.recoverWith(now, fs.bufferedIDs(), fs.checkpoint)
 }
 
 // recoverWith is the recovery algorithm with the NVRAM-resident inputs —
 // the surviving buffered-block set and the checkpoint region — passed
 // explicitly, so they can come either from this process (a simulated
 // crash) or from a reopened durable image (a real one).
-func (fs *FS) recoverWith(now int64, buffered map[blockID]struct{}, checkpoint *checkpointRec) (*FS, RecoveryReport, error) {
+func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointRec) (*FS, RecoveryReport, error) {
 	report := RecoveryReport{
-		LostDirtyBlocks:         len(fs.dirty),
+		LostDirtyBlocks:         fs.dirty.len(),
 		RecoveredBufferedBlocks: len(buffered),
 	}
 
@@ -151,9 +150,7 @@ func (fs *FS) recoverWith(now int64, buffered map[blockID]struct{}, checkpoint *
 		cfg:        fs.cfg,
 		disk:       fs.disk,
 		now:        now,
-		dirty:      make(map[blockID]int64),
-		blockSeg:   make(map[blockID]int32),
-		files:      make(map[uint64]int64),
+		files:      make(map[uint64]*fileState),
 		segLive:    make([]int32, fs.cfg.DiskSegments),
 		seq:        fs.seq,
 		segLog:     make(map[int32]*segRecord, len(fs.segLog)),
@@ -166,9 +163,6 @@ func (fs *FS) recoverWith(now int64, buffered map[blockID]struct{}, checkpoint *
 	for seg, r := range fs.segLog {
 		rec.segLog[seg] = &segRecord{seq: r.seq, blocks: append([]blockID(nil), r.blocks...)}
 	}
-	if fs.cfg.BufferBytes > 0 {
-		rec.buffered = make(map[blockID]struct{})
-	}
 
 	// 1. Read the most recent checkpoint region.
 	var fromSeq int64
@@ -176,11 +170,11 @@ func (fs *FS) recoverWith(now int64, buffered map[blockID]struct{}, checkpoint *
 		cp := checkpoint
 		fromSeq = cp.seq
 		report.CheckpointSeq = cp.seq
-		for k, v := range cp.blockSeg {
-			rec.blockSeg[k] = v
+		for id, seg := range cp.blockSeg {
+			rec.blockSeg.put(id, seg)
 		}
 		for k, v := range cp.files {
-			rec.files[k] = v
+			rec.files[k] = &fileState{extent: v}
 		}
 		copy(rec.segLive, cp.segLive)
 		rec.free = append([]int32(nil), cp.free...)
@@ -219,37 +213,34 @@ func (fs *FS) recoverWith(now int64, buffered map[blockID]struct{}, checkpoint *
 	sort.Slice(replay, func(i, j int) bool { return replay[i].seq < replay[j].seq })
 	for _, ev := range replay {
 		if ev.isDel {
-			n := rec.files[ev.del]
-			for idx := int64(0); idx < n; idx++ {
-				id := blockID{ev.del, idx}
-				if seg, ok := rec.blockSeg[id]; ok {
-					rec.segLive[seg]--
-					delete(rec.blockSeg, id)
-				}
+			// The dirty and buffered tables are empty until step 3.
+			if f := rec.files[ev.del]; f != nil {
+				rec.fileIndexes(ev.del, f.extent, func(idx int64) {
+					if seg, ok := rec.blockSeg.del(blockID{ev.del, idx}); ok {
+						rec.segLive[seg]--
+					}
+				})
+				delete(rec.files, ev.del)
 			}
-			delete(rec.files, ev.del)
 			continue
 		}
 		rec.disk.Read(fs.cfg.SegmentSize)
 		report.SegmentsReplayed++
 		for _, id := range ev.blocks {
-			if old, ok := rec.blockSeg[id]; ok {
-				rec.segLive[old]--
+			p, had := rec.blockSeg.ref(id)
+			if had {
+				rec.segLive[*p]--
 			}
-			rec.blockSeg[id] = ev.seg
+			*p = ev.seg
 			rec.segLive[ev.seg]++
-			if id.index+1 > rec.files[id.file] {
-				rec.files[id.file] = id.index + 1
-			}
+			rec.extend(id)
 		}
 	}
 	rec.deleteLog = append([]deleteRecord(nil), fs.deleteLog...)
 	// Rebuild the free list from what remains unreferenced.
 	rec.free = rec.free[:0]
 	used := make(map[int32]bool)
-	for _, seg := range rec.blockSeg {
-		used[seg] = true
-	}
+	rec.blockSeg.each(func(_ blockID, seg int32) { used[seg] = true })
 	for i := fs.cfg.DiskSegments - 1; i >= 0; i-- {
 		if !used[int32(i)] {
 			rec.free = append(rec.free, int32(i))
@@ -258,17 +249,21 @@ func (fs *FS) recoverWith(now int64, buffered map[blockID]struct{}, checkpoint *
 
 	// 3. The NVRAM buffer's contents survived; re-register them so they
 	// reach the disk in due course.
-	for id := range buffered {
-		rec.buffered[id] = struct{}{}
-		if id.index+1 > rec.files[id.file] {
-			rec.files[id.file] = id.index + 1
-		}
+	for _, id := range buffered {
+		rec.buffered.put(id, struct{}{})
+		rec.extend(id)
 	}
 
 	if err := rec.checkConsistent(); err != nil {
 		return nil, report, fmt.Errorf("lfs: recovery produced inconsistent state: %w", err)
 	}
 	return rec, report, nil
+}
+
+// extend makes id's file extent cover id, creating the file's entry.
+func (fs *FS) extend(id blockID) {
+	f := fs.file(id.file)
+	f.extent = max(f.extent, id.index+1)
 }
 
 // CheckConsistent verifies the segment-accounting invariants: every block
@@ -282,22 +277,14 @@ func (fs *FS) CheckConsistent() error { return fs.checkConsistent() }
 // stable=true with at = -1 (the buffer keeps no ages: its contents are
 // already permanent). The crash harness uses it to apply the loss model.
 func (fs *FS) ForEachPending(fn func(file uint64, index int64, at int64, stable bool)) {
-	ids := make([]blockID, 0, len(fs.dirty)+len(fs.buffered))
-	for id := range fs.dirty {
-		ids = append(ids, id)
+	dirty := make([]ageEntry, 0, fs.dirty.len())
+	fs.dirty.each(func(id blockID, d dirtyBlock) { dirty = append(dirty, ageEntry{at: d.at, id: id}) })
+	slices.SortFunc(dirty, func(a, b ageEntry) int { return compareBlockIDs(a.id, b.id) })
+	for _, e := range dirty {
+		fn(e.id.file, e.id.index, e.at, false)
 	}
-	nDirty := len(ids)
-	for id := range fs.buffered {
-		ids = append(ids, id)
-	}
-	sortBlockIDs(ids[:nDirty])
-	sortBlockIDs(ids[nDirty:])
-	for i, id := range ids {
-		if i < nDirty {
-			fn(id.file, id.index, fs.dirty[id], false)
-		} else {
-			fn(id.file, id.index, -1, true)
-		}
+	for _, id := range fs.bufferedIDs() {
+		fn(id.file, id.index, -1, true)
 	}
 }
 
@@ -319,23 +306,17 @@ func (fs *FS) DurableFingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	ids := make([]blockID, 0, len(fs.blockSeg))
-	for id := range fs.blockSeg {
-		ids = append(ids, id)
-	}
+	ids := make([]blockID, 0, fs.blockSeg.len())
+	fs.blockSeg.each(func(id blockID, _ int32) { ids = append(ids, id) })
 	sortBlockIDs(ids)
 	for _, id := range ids {
+		seg, _ := fs.blockSeg.get(id)
 		mix(1)
 		mix(id.file)
 		mix(uint64(id.index))
-		mix(uint64(fs.blockSeg[id]))
+		mix(uint64(seg))
 	}
-	ids = ids[:0]
-	for id := range fs.buffered {
-		ids = append(ids, id)
-	}
-	sortBlockIDs(ids)
-	for _, id := range ids {
+	for _, id := range fs.bufferedIDs() {
 		mix(2)
 		mix(id.file)
 		mix(uint64(id.index))
@@ -347,11 +328,16 @@ func (fs *FS) DurableFingerprint() uint64 {
 // recovery (and in tests).
 func (fs *FS) checkConsistent() error {
 	counts := make([]int32, len(fs.segLive))
-	for _, seg := range fs.blockSeg {
+	beyond := int32(-1)
+	fs.blockSeg.each(func(_ blockID, seg int32) {
 		if int(seg) >= len(counts) {
-			return fmt.Errorf("block mapped to segment %d beyond disk", seg)
+			beyond = seg
+			return
 		}
 		counts[seg]++
+	})
+	if beyond >= 0 {
+		return fmt.Errorf("block mapped to segment %d beyond disk", beyond)
 	}
 	for seg, want := range counts {
 		if fs.segLive[seg] != want {

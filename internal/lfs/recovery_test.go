@@ -3,6 +3,7 @@ package lfs
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"nvramfs/internal/disk"
 )
@@ -14,26 +15,21 @@ import (
 // was never written to the log.)
 func stateEqual(t *testing.T, want, got *FS) {
 	t.Helper()
-	if len(want.blockSeg) != len(got.blockSeg) {
-		t.Fatalf("block maps differ: %d vs %d entries", len(want.blockSeg), len(got.blockSeg))
+	if want.blockSeg.len() != got.blockSeg.len() {
+		t.Fatalf("block maps differ: %d vs %d entries", want.blockSeg.len(), got.blockSeg.len())
 	}
-	for id, seg := range want.blockSeg {
-		if got.blockSeg[id] != seg {
-			t.Fatalf("block %v: segment %d vs %d", id, seg, got.blockSeg[id])
+	want.blockSeg.each(func(id blockID, seg int32) {
+		if g, _ := got.blockSeg.get(id); g != seg {
+			t.Fatalf("block %v: segment %d vs %d", id, seg, g)
+		}
+	})
+	covers := func(id blockID, what string) {
+		if f := got.files[id.file]; f == nil || f.extent <= id.index {
+			t.Fatalf("file %d extent does not cover %s block %d", id.file, what, id.index)
 		}
 	}
-	for id := range got.blockSeg {
-		if got.files[id.file] <= id.index {
-			t.Fatalf("file %d extent %d does not cover durable block %d",
-				id.file, got.files[id.file], id.index)
-		}
-	}
-	for id := range want.buffered {
-		if got.files[id.file] <= id.index {
-			t.Fatalf("file %d extent %d does not cover buffered block %d",
-				id.file, got.files[id.file], id.index)
-		}
-	}
+	got.blockSeg.each(func(id blockID, _ int32) { covers(id, "durable") })
+	want.buffered.each(func(id blockID, _ struct{}) { covers(id, "buffered") })
 	if err := got.checkConsistent(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +117,38 @@ func TestRecoveryReplaysDeletions(t *testing.T) {
 		t.Fatalf("deleted file resurrected: %d live blocks", rec.LiveBlocks())
 	}
 	stateEqual(t, fs, rec)
+}
+
+// TestDeleteFarOffsetCostsItsBlocks deletes and recovers a one-block file
+// written at offset 1<<42, whose extent is 2^30 blocks. Both the delete and
+// recovery's replay of it must cost the file's blocks, not its extent (a
+// walk over every index below the extent takes tens of seconds).
+func TestDeleteFarOffsetCostsItsBlocks(t *testing.T) {
+	for _, buf := range []int64{0, 512 * kb} {
+		fs := newFS(t, Config{BufferBytes: buf})
+		const off = 1 << 42
+		start := time.Now()
+		fs.Write(0, 1, off, 4*kb)
+		fs.Checkpoint(sec)
+		fs.Fsync(2*sec, 1) // to disk, or parked in the buffer
+		fs.Write(3*sec, 1, off+4*kb, 4*kb)
+		fs.Write(3*sec, 2, 0, 4*kb)
+		fs.Delete(4*sec, 1)
+		if fs.PendingBlocks() != 1 || fs.LiveBlocks() != 0 {
+			t.Fatalf("buffer %d: after delete pending %d, live %d", buf, fs.PendingBlocks(), fs.LiveBlocks())
+		}
+		rec, report, err := fs.SimulateCrashAndRecover(5 * sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.LiveBlocks() != 0 || report.SegmentsReplayed != int(fs.Stats().SegmentsWritten) {
+			t.Fatalf("buffer %d: recovered %d live blocks from %d segments", buf, rec.LiveBlocks(), report.SegmentsReplayed)
+		}
+		stateEqual(t, fs, rec)
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("buffer %d: delete and recovery took %v", buf, d)
+		}
+	}
 }
 
 func TestRecoveryAfterCleaning(t *testing.T) {
