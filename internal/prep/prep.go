@@ -96,8 +96,8 @@ type Source interface {
 }
 
 // Replayable hands out fresh, identical cursors over one op stream. The
-// crash harness's LFS oracle replays a trace several times; the report
-// workspace implements this by re-decoding its compact encoded trace.
+// crash harness's LFS oracle replays a trace several times; a Recording
+// implements it by decoding its recorded ops again.
 type Replayable interface {
 	Ops() (Source, error)
 }
@@ -109,9 +109,6 @@ type Options struct {
 	// workload generator): the Reader validates every event and rejects
 	// non-monotonic times at decode.
 	Trusted bool
-	// FilesHint pre-sizes the per-file bookkeeping maps (typically a
-	// previous pass's Stats.Files); zero means no hint.
-	FilesHint int
 }
 
 // fileEntry is one fileTable slot: a file's id and its current size. A
@@ -142,14 +139,6 @@ func hashFile(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-func (t *fileTable) init(hint int) {
-	n := 16
-	for n < hint+hint/3 {
-		n *= 2
-	}
-	t.slots = make([]fileEntry, n)
 }
 
 // ensure returns the entry for file, inserting a zero-size one if absent,
@@ -245,9 +234,7 @@ type Canonicalizer struct {
 
 // NewSource returns a streaming canonicalizer pulling from src.
 func NewSource(src trace.EventSource, opt Options) *Canonicalizer {
-	c := &Canonicalizer{src: src, opt: opt}
-	c.files.init(opt.FilesHint)
-	return c
+	return &Canonicalizer{src: src, opt: opt}
 }
 
 // NewPush returns a canonicalizer with no event source, fed one event at
@@ -396,10 +383,7 @@ func (c *Canonicalizer) apply(e trace.Event) (Op, bool) {
 // the push-style shim over the streaming Canonicalizer; events must be in
 // non-decreasing time order.
 func Canonicalize(events []trace.Event, emit func(Op) error) (Stats, error) {
-	// Pre-size the per-file maps: traces average a handful of events per
-	// file, so len(events)/4 is a cheap upper-ish bound that avoids the
-	// incremental rehash churn of growing from empty.
-	c := NewSource(trace.NewSliceSource(events), Options{FilesHint: len(events) / 4})
+	c := NewSource(trace.NewSliceSource(events), Options{})
 	for {
 		o, ok, err := c.Next()
 		if err != nil {

@@ -191,22 +191,22 @@ func Figure3(ws *Workspace) (*PolicySweepResult, error) {
 	return Figure3Context(context.Background(), ws)
 }
 
-// Figure3Context submits one lockstep job per trace: each job decodes
-// its trace once and feeds every NVRAM size's simulation the same op, so
-// a row costs one streaming pass instead of one per cell. Rows assemble
-// in trace order, so the output is identical at any worker count.
+// Figure3Context reads every (trace, NVRAM size) cell through the
+// workspace's cell memo (cellTraffic): each trace's row is one lockstep
+// job that replays the trace once for every size. Rows assemble in trace
+// order, so the output is identical at any worker count.
 func Figure3Context(ctx context.Context, ws *Workspace) (*PolicySweepResult, error) {
 	traces := AllTraces()
-	sizes := DefaultNVRAMSizesMB
-	rows, err := engine.Map(ctx, ws.Engine(), len(traces), func(ctx context.Context, i int) ([]float64, error) {
-		return policyRow(ctx, ws, traces[i], cache.Omniscient, true, sizes)
-	})
+	res := &PolicySweepResult{SizesMB: DefaultNVRAMSizesMB}
+	series := make([][]cellKey, len(traces))
+	for i, tr := range traces {
+		series[i] = sweepKeys(tr, cache.Omniscient, true)
+		res.Labels = append(res.Labels, fmt.Sprintf("trace%d", tr))
+	}
+	var err error
+	res.Frac, err = ws.cellRows(ctx, series, (*cache.Traffic).NetWriteFrac)
 	if err != nil {
 		return nil, err
-	}
-	res := &PolicySweepResult{SizesMB: sizes, Frac: rows}
-	for _, tr := range traces {
-		res.Labels = append(res.Labels, fmt.Sprintf("trace%d", tr))
 	}
 	return res, nil
 }
@@ -230,59 +230,35 @@ func Figure4(ws *Workspace) (*PolicySweepResult, error) {
 	return Figure4Context(context.Background(), ws)
 }
 
-// Figure4Context submits one lockstep job per policy series on the model
-// trace, assembling the series in declaration order.
+// Figure4Context reads each policy series' cells through the cell memo,
+// assembling the series in declaration order. The omniscient series is
+// Figure 3's trace-7 row and the LRU series shares five cells with
+// Figure 5's unified series, so after those figures only the cells no
+// earlier call simulated cost a job.
 func Figure4Context(ctx context.Context, ws *Workspace) (*PolicySweepResult, error) {
-	sizes := DefaultNVRAMSizesMB
-	rows, err := engine.Map(ctx, ws.Engine(), len(figure4Series), func(ctx context.Context, i int) ([]float64, error) {
-		pc := figure4Series[i]
-		return policyRow(ctx, ws, ModelTrace, pc.kind, pc.writesOnly, sizes)
-	})
+	res := &PolicySweepResult{SizesMB: DefaultNVRAMSizesMB}
+	series := make([][]cellKey, len(figure4Series))
+	for i, pc := range figure4Series {
+		series[i] = sweepKeys(ModelTrace, pc.kind, pc.writesOnly)
+		res.Labels = append(res.Labels, pc.label)
+	}
+	var err error
+	res.Frac, err = ws.cellRows(ctx, series, (*cache.Traffic).NetWriteFrac)
 	if err != nil {
 		return nil, err
-	}
-	res := &PolicySweepResult{SizesMB: sizes, Frac: rows}
-	for _, pc := range figure4Series {
-		res.Labels = append(res.Labels, pc.label)
 	}
 	return res, nil
 }
 
-// policyRow runs one (trace, policy) series of the Figure 3/4 grids and
-// returns its net write fraction at each NVRAM size, simulating every size
-// in lockstep over one decode of the trace (Workspace.lockstep).
-func policyRow(ctx context.Context, ws *Workspace, tr int, kind cache.PolicyKind, writesOnly bool, sizes []float64) ([]float64, error) {
-	var sched cache.Schedule
-	if kind == cache.Omniscient {
-		s, err := ws.ScheduleContext(ctx, tr)
-		if err != nil {
-			return nil, err
-		}
-		sched = s
+// sweepKeys returns one (trace, policy) series of the Figure 3/4 grids:
+// the unified model over an 8 MB volatile cache, at each NVRAM size.
+func sweepKeys(tr int, kind cache.PolicyKind, writesOnly bool) []cellKey {
+	keys := make([]cellKey, len(DefaultNVRAMSizesMB))
+	for i, mb := range DefaultNVRAMSizesMB {
+		keys[i] = cellKey{trace: tr, model: cache.ModelUnified, policy: kind, writesOnly: writesOnly,
+			volBlocks: mbBlocks(8), nvBlocks: mbBlocks(mb)}
 	}
-	cfgs := make([]sim.Config, len(sizes))
-	for i, mb := range sizes {
-		cfgs[i] = sim.Config{
-			Model: cache.ModelUnified,
-			Cache: cache.Config{
-				VolatileBlocks: sim.BlocksForBytes(8*sim.MB, cache.DefaultBlockSize),
-				NVRAMBlocks:    sim.BlocksForBytes(int64(mb*float64(sim.MB)), cache.DefaultBlockSize),
-				Policy:         kind,
-				Schedule:       sched,
-			},
-			Seed:       int64(tr),
-			WritesOnly: writesOnly,
-		}
-	}
-	results, err := ws.lockstep(ctx, tr, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]float64, len(sizes))
-	for i, r := range results {
-		row[i] = r.Traffic.NetWriteFrac()
-	}
-	return row, nil
+	return keys
 }
 
 // Render writes the sweep as a table of series.
@@ -357,73 +333,123 @@ func Figure6Context(ctx context.Context, ws *Workspace) (*ModelCompareResult, er
 	return modelCompare(ctx, ws, figure6Series)
 }
 
-// modelKey is the canonical configuration of one Figure 5/6 cell: the
-// cache model after the zero-NVRAM fallback and its memory in blocks. The
-// rest of the configuration (LRU, seed 7, the model trace) is common to
-// every cell, so equal keys are equal simulations.
-type modelKey struct {
-	model     cache.ModelKind
-	volBlocks int
-	nvBlocks  int // 0 for the volatile model, which has no NVRAM
-}
-
 // key is the series' cell at extra added megabytes: volatile memory for
 // the volatile model, NVRAM otherwise.
-func (mc modelSeries) key(extra float64) modelKey {
-	blocks := func(mb float64) int {
-		return sim.BlocksForBytes(int64(mb*float64(sim.MB)), cache.DefaultBlockSize)
-	}
+func (mc modelSeries) key(extra float64) cellKey {
+	k := cellKey{trace: ModelTrace, model: mc.model, policy: cache.LRU,
+		volBlocks: mbBlocks(mc.baseMB), nvBlocks: mbBlocks(extra)}
 	if mc.model == cache.ModelVolatile || extra == 0 {
 		// Zero NVRAM degenerates to the volatile organization; all
 		// three series share their starting point.
-		return modelKey{model: cache.ModelVolatile, volBlocks: blocks(mc.baseMB + extra)}
+		k.model, k.volBlocks, k.nvBlocks = cache.ModelVolatile, mbBlocks(mc.baseMB+extra), 0
 	}
-	return modelKey{model: mc.model, volBlocks: blocks(mc.baseMB), nvBlocks: blocks(extra)}
+	return k
 }
 
-// modelCompare reads every (series, extra MB) cell from the workspace's
-// memoized model traffic and assembles the series in declaration order.
+// modelCompare reads every (series, extra MB) cell through the
+// workspace's cell memo and assembles the series in declaration order.
 func modelCompare(ctx context.Context, ws *Workspace, series []modelSeries) (*ModelCompareResult, error) {
-	extras := DefaultExtraMB
-	keys := make([]modelKey, 0, len(series)*len(extras))
-	for _, mc := range series {
-		for _, extra := range extras {
-			keys = append(keys, mc.key(extra))
-		}
-	}
-	traffic, err := ws.modelTraffic(ctx, keys)
-	if err != nil {
-		return nil, err
-	}
-	res := &ModelCompareResult{ExtraMB: extras}
+	res := &ModelCompareResult{ExtraMB: DefaultExtraMB}
+	keys := make([][]cellKey, len(series))
 	for i, mc := range series {
-		row := make([]float64, len(extras))
-		for j := range extras {
-			row[j] = traffic[i*len(extras)+j].NetTotalFrac()
+		for _, extra := range DefaultExtraMB {
+			keys[i] = append(keys[i], mc.key(extra))
 		}
 		res.Labels = append(res.Labels, mc.label)
-		res.Frac = append(res.Frac, row)
+	}
+	var err error
+	res.Frac, err = ws.cellRows(ctx, keys, (*cache.Traffic).NetTotalFrac)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// modelTraffic returns the model trace's total traffic for each key,
-// simulating only the keys no earlier call has memoized. The missing keys
-// are grouped by model kind (sim.Broadcast yokes one kind at a time), and
-// each group is one engine job that drives a stepper per key over one
-// decode of the trace. A cell is a pure function of its key, so which
-// call simulates it never changes what any call returns; two concurrent
-// callers may both simulate a key and store the same traffic.
-func (ws *Workspace) modelTraffic(ctx context.Context, keys []modelKey) ([]cache.Traffic, error) {
-	var groups [][]modelKey
-	queued := make(map[modelKey]bool)
+// cellKey is the canonical configuration of one simulated grid cell of
+// Figures 3-6 and the bus study: the trace, the cache model after the
+// zero-NVRAM fallback, the replacement policy, whether reads are
+// dropped, and the memories in blocks. The rest of the configuration is
+// common to every cell (the seed is the trace index, the block size the
+// default, and an omniscient cell's schedule is its trace's), so equal
+// keys are equal simulations.
+type cellKey struct {
+	trace      int
+	model      cache.ModelKind
+	policy     cache.PolicyKind
+	writesOnly bool
+	volBlocks  int
+	nvBlocks   int // 0 for the volatile model, which has no NVRAM
+}
+
+// mbBlocks converts megabytes of cache memory to default-size blocks.
+func mbBlocks(mb float64) int {
+	return sim.BlocksForBytes(int64(mb*float64(sim.MB)), cache.DefaultBlockSize)
+}
+
+// group is the part of the key that one lockstep job's cells share.
+// sim.Broadcast yokes one model kind and one writes-only setting at a
+// time, and one replay serves one trace.
+func (k cellKey) group() cellKey {
+	k.volBlocks, k.nvBlocks = 0, 0
+	return k
+}
+
+// config is the cell's simulation configuration; sched is the trace's
+// omniscient schedule, or nil for the other policies.
+func (k cellKey) config(sched cache.Schedule) sim.Config {
+	return sim.Config{
+		Model: k.model,
+		Cache: cache.Config{
+			VolatileBlocks: k.volBlocks,
+			NVRAMBlocks:    k.nvBlocks,
+			Policy:         k.policy,
+			Schedule:       sched,
+		},
+		Seed:       int64(k.trace),
+		WritesOnly: k.writesOnly,
+	}
+}
+
+// cellRows reads every series' cells through the memo and maps each
+// cell's traffic through frac, one row per series.
+func (ws *Workspace) cellRows(ctx context.Context, series [][]cellKey, frac func(*cache.Traffic) float64) ([][]float64, error) {
+	var keys []cellKey
+	for _, s := range series {
+		keys = append(keys, s...)
+	}
+	traffic, err := ws.cellTraffic(ctx, keys)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]float64, len(series))
+	for i, s := range series {
+		rows[i] = make([]float64, len(s))
+		for j := range s {
+			rows[i][j] = frac(&traffic[0])
+			traffic = traffic[1:]
+		}
+	}
+	return rows, nil
+}
+
+// cellTraffic returns each key's traffic, simulating only the keys no
+// earlier call has memoized. The missing keys are grouped by
+// cellKey.group, in order of first appearance, and each group is one
+// engine job that drives a stepper per key over one replay of its trace;
+// an omniscient group fetches its trace's schedule inside the job. A cell
+// is a pure function of its key, so which call simulates it never changes
+// what any call returns; two concurrent callers may both simulate a key
+// and store the same traffic.
+func (ws *Workspace) cellTraffic(ctx context.Context, keys []cellKey) ([]cache.Traffic, error) {
+	var groups [][]cellKey
+	queued := make(map[cellKey]bool)
 	ws.cellsMu.Lock()
 	for _, k := range keys {
 		if _, ok := ws.cells[k]; ok || queued[k] {
 			continue
 		}
 		queued[k] = true
-		i := slices.IndexFunc(groups, func(g []modelKey) bool { return g[0].model == k.model })
+		i := slices.IndexFunc(groups, func(g []cellKey) bool { return g[0].group() == k.group() })
 		if i < 0 {
 			i = len(groups)
 			groups = append(groups, nil)
@@ -433,19 +459,20 @@ func (ws *Workspace) modelTraffic(ctx context.Context, keys []modelKey) ([]cache
 	ws.cellsMu.Unlock()
 
 	results, err := engine.Map(ctx, ws.Engine(), len(groups), func(ctx context.Context, i int) ([]*sim.Result, error) {
-		cfgs := make([]sim.Config, len(groups[i]))
-		for j, k := range groups[i] {
-			cfgs[j] = sim.Config{
-				Model: k.model,
-				Cache: cache.Config{
-					VolatileBlocks: k.volBlocks,
-					NVRAMBlocks:    k.nvBlocks,
-					Policy:         cache.LRU,
-				},
-				Seed: ModelTrace,
+		g := groups[i]
+		var sched cache.Schedule
+		if g[0].policy == cache.Omniscient {
+			s, err := ws.ScheduleContext(ctx, g[0].trace)
+			if err != nil {
+				return nil, err
 			}
+			sched = s
 		}
-		return ws.lockstep(ctx, ModelTrace, cfgs)
+		cfgs := make([]sim.Config, len(g))
+		for j, k := range g {
+			cfgs[j] = k.config(sched)
+		}
+		return ws.lockstep(ctx, g[0].trace, cfgs)
 	})
 	if err != nil {
 		return nil, err
@@ -454,7 +481,7 @@ func (ws *Workspace) modelTraffic(ctx context.Context, keys []modelKey) ([]cache
 	ws.cellsMu.Lock()
 	defer ws.cellsMu.Unlock()
 	if ws.cells == nil {
-		ws.cells = make(map[modelKey]cache.Traffic)
+		ws.cells = make(map[cellKey]cache.Traffic)
 	}
 	for i, g := range groups {
 		for j, k := range g {
@@ -521,7 +548,7 @@ func BusTraffic(ws *Workspace) (*BusResult, error) {
 // BusTrafficContext reads the two models' 8 MB + 8 MB cells, which are
 // Figure 5's +8 MB cells, from the workspace's memoized model traffic.
 func BusTrafficContext(ctx context.Context, ws *Workspace) (*BusResult, error) {
-	traffic, err := ws.modelTraffic(ctx, []modelKey{
+	traffic, err := ws.cellTraffic(ctx, []cellKey{
 		modelSeries{model: cache.ModelWriteAside, baseMB: 8}.key(8),
 		modelSeries{model: cache.ModelUnified, baseMB: 8}.key(8),
 	})

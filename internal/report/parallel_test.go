@@ -162,7 +162,7 @@ func TestDriversDeterministicAcrossWorkerCounts(t *testing.T) {
 		ws := NewWorkspace(scale)
 		ws.SetEngine(engine.New(workers))
 		var buf bytes.Buffer
-		renderAll := func(r interface{ Render(io.Writer) error }, err error) {
+		renderAll := func(r renderer, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,13 +226,40 @@ func TestDriversDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestFigure6SameFreshAndAfterFigure5 renders Figure 6 on a fresh
-// workspace and again on one that has already rendered Figure 5, whose
-// cells Figure 6 partly repeats, and requires byte-identical output.
+// renderer is any experiment result.
+type renderer interface{ Render(io.Writer) error }
+
+// TestFigure6SameFreshAndAfterFigure5 renders Figures 3-6 on one
+// workspace in call order and on another in reverse, and requires every
+// figure byte-identical: each figure reads cells an earlier one may have
+// memoized (Figure 4's omniscient series is Figure 3's trace-7 row, its
+// LRU series shares five cells with Figure 5's unified series, Figure 6
+// repeats Figure 5's 8 MB series), so the reverse order simulates them
+// in different groups. The forward pass also pins what the memo saves,
+// in engine jobs per figure and in unified model-trace cells.
 func TestFigure6SameFreshAndAfterFigure5(t *testing.T) {
 	const scale = 0.02
-	render := func(ws *Workspace) string {
-		r, err := Figure6(ws)
+	figures := []struct {
+		name string
+		run  func(*Workspace) (renderer, error)
+		jobs int64 // engine jobs in call order
+	}{
+		{"fig3", func(ws *Workspace) (renderer, error) { return Figure3(ws) }, 8},
+		{"fig4", func(ws *Workspace) (renderer, error) { return Figure4(ws) }, 2},
+		{"fig5", func(ws *Workspace) (renderer, error) { return Figure5(ws) }, 3},
+		{"fig6", func(ws *Workspace) (renderer, error) { return Figure6(ws) }, 2},
+	}
+	unifiedCells := func(ws *Workspace) int {
+		n := 0
+		for k := range ws.cells {
+			if k.trace == ModelTrace && k.model == cache.ModelUnified && k.policy == cache.LRU {
+				n++
+			}
+		}
+		return n
+	}
+	render := func(ws *Workspace, i int) string {
+		r, err := figures[i].run(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,40 +269,85 @@ func TestFigure6SameFreshAndAfterFigure5(t *testing.T) {
 		}
 		return buf.String()
 	}
-	fresh := render(NewWorkspace(scale))
+
+	forward := make([]string, len(figures))
 	ws := NewWorkspace(scale)
-	if _, err := Figure5(ws); err != nil {
-		t.Fatal(err)
+	for i, f := range figures {
+		jobs, unified := ws.Engine().Metrics().JobsFinished, unifiedCells(ws)
+		forward[i] = render(ws, i)
+		if got := ws.Engine().Metrics().JobsFinished - jobs; got != f.jobs {
+			t.Errorf("%s in call order ran %d engine jobs, want %d", f.name, got, f.jobs)
+		}
+		if f.name == "fig5" {
+			// Figure 4's LRU series holds five of Figure 5's six unified
+			// cells; only +6 MB is new.
+			if got := unifiedCells(ws) - unified; got != 1 {
+				t.Errorf("fig5 after fig4 simulated %d unified cells, want 1", got)
+			}
+		}
 	}
-	if after := render(ws); after != fresh {
-		t.Fatalf("Figure 6 after Figure 5 differs from a fresh render:\n--- fresh ---\n%s\n--- after ---\n%s",
-			fresh, after)
+	ws = NewWorkspace(scale)
+	for i := len(figures) - 1; i >= 0; i-- {
+		if got := render(ws, i); got != forward[i] {
+			t.Errorf("%s in reverse order differs from call order:\n--- call order ---\n%s\n--- reverse ---\n%s",
+				figures[i].name, forward[i], got)
+		}
 	}
 }
 
-// TestModelTrafficConcurrentCallers runs the bus study from several
-// goroutines on one fresh workspace, so callers race to simulate and
-// memoize the same cells; every caller must get the same numbers. Under
-// -race this is the cell memo's locking test.
+// TestModelTrafficConcurrentCallers runs Figures 4 and 5 and the bus
+// study from several goroutines on one fresh workspace, so callers race
+// to simulate and memoize the cells they share; every caller must get
+// what a serial run on its own workspace gets. Under -race this is the
+// cell memo's locking test.
 func TestModelTrafficConcurrentCallers(t *testing.T) {
-	ws := NewWorkspace(0.02)
-	got := make([]*BusResult, 3)
-	errs := make([]error, len(got))
+	const scale = 0.02
+	render := func(ws *Workspace, i int) (string, error) {
+		var (
+			r   renderer
+			err error
+		)
+		switch i % 3 {
+		case 0:
+			r, err = Figure4(ws)
+		case 1:
+			r, err = Figure5(ws)
+		default:
+			r, err = BusTraffic(ws)
+		}
+		if err != nil {
+			return "", err
+		}
+		var buf bytes.Buffer
+		err = r.Render(&buf)
+		return buf.String(), err
+	}
+	const callers = 6
+	want := make([]string, 3)
+	for i := range want {
+		var err error
+		if want[i], err = render(NewWorkspace(scale), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := NewWorkspace(scale)
+	got := make([]string, callers)
+	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = BusTraffic(ws)
+			got[i], errs[i] = render(ws, i)
 		}()
 	}
 	wg.Wait()
-	for i, r := range got {
+	for i := range got {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if *r != *got[0] {
-			t.Errorf("caller %d got %+v, caller 0 got %+v", i, *r, *got[0])
+		if got[i] != want[i%3] {
+			t.Errorf("caller %d got\n%s\nserial run got\n%s", i, got[i], want[i%3])
 		}
 	}
 }

@@ -19,7 +19,6 @@
 package report
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -30,7 +29,6 @@ import (
 	"nvramfs/internal/lifetime"
 	"nvramfs/internal/prep"
 	"nvramfs/internal/sim"
-	"nvramfs/internal/trace"
 	"nvramfs/internal/workload"
 )
 
@@ -62,12 +60,12 @@ func (ws *Workspace) simCell(ctx context.Context, tr int, src prep.Source, cfg s
 	return res, err
 }
 
-// lockstep simulates every configuration over one streaming decode of the
-// trace: sim.Broadcast feeds each op to one stepper per configuration and
+// lockstep simulates every configuration over one replay of the trace's
+// recording: sim.Broadcast feeds each op to one stepper per configuration and
 // runs the op stream's cache-independent work (consistency protocol, size
 // tracking) once for the lot. Each stepper's state is exactly what a
 // standalone sim.Run of its configuration would reach, so the results are
-// those of simulating the cells one by one, for one decode pass and one
+// those of simulating the cells one by one, for one replay and one
 // protocol pass. The configurations must be Broadcast-compatible; the
 // helper attaches a pooled block arena and the trace's file-count hint.
 func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([]*sim.Result, error) {
@@ -129,20 +127,20 @@ func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([
 	return results, nil
 }
 
-// Workspace generates and caches the standard traces — as compact
-// delta-encoded NVFT bytes, not materialized op slices — plus their
-// lifetime analyses and omniscient schedules, and the model trace's
-// traffic per Figure 5/6 cell configuration, so that the experiment
-// drivers can share passes the way the paper's simulator did while every
-// consumer streams ops through a fresh decode cursor in bounded memory.
+// Workspace generates each standard trace once, recording its canonical
+// ops (a prep.Recording, not a materialized op slice), and caches the
+// lifetime analyses, the omniscient schedules and the traffic of every
+// simulated grid cell, so that the experiment drivers share passes the
+// way the paper's simulator did while every consumer replays ops through
+// its own cursor.
 //
 // Every cached pass is built under per-trace singleflight: concurrent
 // callers for the same trace share one build, while different traces
-// build in parallel. The cached values (encoded traces, analyses,
-// schedules) are immutable after construction and safe to read from any
-// goroutine; cursors handed out by OpsSource are independent and
-// single-use. The cell traffic is memoized under a mutex instead, because
-// cells are simulated in groups (modelTraffic).
+// build in parallel. The cached values (recordings, analyses, schedules)
+// are immutable after construction and safe to read from any goroutine;
+// cursors handed out by OpsSource are independent and single-use. The
+// cell traffic is memoized under a mutex instead, because cells are
+// simulated in groups (cellTraffic).
 type Workspace struct {
 	// Scale is the workload volume scale (1.0 = paper scale). Experiments
 	// in tests use small scales for speed.
@@ -154,29 +152,18 @@ type Workspace struct {
 	analyses engine.Memo[int, *lifetime.Analysis]
 	scheds   engine.Memo[int, *lifetime.Schedule]
 
-	// cells memoizes the model trace's traffic per Figure 5/6 cell
-	// configuration (modelTraffic), shared by both figures and the bus
-	// study.
+	// cells memoizes each simulated grid cell's traffic (cellTraffic),
+	// shared by Figures 3-6 and the bus study.
 	cellsMu sync.Mutex
-	cells   map[modelKey]cache.Traffic
+	cells   map[cellKey]cache.Traffic
 }
 
-// tracePasses is the first-pass product for one trace: the NVFT-encoded
-// event stream, its canonical-op statistics, and the midpoint-op time the
-// degraded study anchors its outage windows on.
+// tracePasses is the first-pass product for one trace: the recorded
+// canonical ops (which carry their statistics) and the midpoint-op time
+// the degraded study anchors its outage windows on.
 type tracePasses struct {
-	enc     []byte
-	stats   prep.Stats
+	rec     *prep.Recording
 	midTime int64
-}
-
-// source opens a fresh streaming decode of the trace's canonical ops.
-func (p tracePasses) source() (prep.Source, error) {
-	r, err := trace.NewBytesReader(p.enc)
-	if err != nil {
-		return nil, err
-	}
-	return prep.NewSource(r, prep.Options{Trusted: true, FilesHint: p.stats.Files}), nil
 }
 
 // NewWorkspace returns a workspace at the given scale, running its
@@ -202,9 +189,9 @@ func (ws *Workspace) SetEngine(e *engine.Engine) {
 func (ws *Workspace) Engine() *engine.Engine { return ws.eng }
 
 // OpsSource returns a fresh single-use cursor over the canonical op
-// stream of the given standard trace (1-based), encoding the trace on
-// first use. Cursors decode the shared encoded bytes independently, so
-// any number of grid cells can stream the same trace concurrently.
+// stream of the given standard trace (1-based), recording the trace on
+// first use. Cursors decode the shared recording independently, so any
+// number of grid cells can stream the same trace concurrently.
 func (ws *Workspace) OpsSource(tr int) (prep.Source, error) {
 	return ws.OpsSourceContext(context.Background(), tr)
 }
@@ -217,7 +204,7 @@ func (ws *Workspace) OpsSourceContext(ctx context.Context, tr int) (prep.Source,
 	if err != nil {
 		return nil, err
 	}
-	return p.source()
+	return p.rec.Ops()
 }
 
 // traceReplay hands out fresh cursors over one workspace trace.
@@ -238,40 +225,24 @@ func (ws *Workspace) passes(ctx context.Context, tr int) (tracePasses, error) {
 		return tracePasses{}, err
 	}
 	return ws.ops.Do(tr, func() (tracePasses, error) {
-		// One generation pass tees every event into the encoder while the
-		// canonicalizer accumulates statistics; neither side materializes
-		// the trace.
-		prof := workload.StandardProfile(tr, ws.Scale)
-		var buf bytes.Buffer
-		w, err := trace.NewWriter(&buf, prof.Header())
+		// One generation pass canonicalizes and records the ops; every
+		// later pass replays the recording.
+		rec, err := prep.Record(workload.NewCursor(workload.StandardProfile(tr, ws.Scale)), prep.Options{Trusted: true})
 		if err != nil {
-			return tracePasses{}, fmt.Errorf("report: encoding trace %d: %w", tr, err)
+			return tracePasses{}, fmt.Errorf("report: generating trace %d: %w", tr, err)
 		}
-		c := prep.NewSource(&trace.TeeSource{Src: workload.NewCursor(prof), W: w}, prep.Options{Trusted: true})
-		for {
-			_, ok, err := c.Next()
-			if err != nil {
-				return tracePasses{}, fmt.Errorf("report: generating trace %d: %w", tr, err)
-			}
-			if !ok {
-				break
-			}
-		}
-		if err := w.Close(); err != nil {
-			return tracePasses{}, fmt.Errorf("report: encoding trace %d: %w", tr, err)
-		}
-		p := tracePasses{enc: buf.Bytes(), stats: c.Stats()}
-		// A second, partial decode finds the midpoint op's time (op index
-		// Ops/2): the total count isn't known until the first pass ends.
-		if p.stats.Ops > 0 {
-			src, err := p.source()
+		p := tracePasses{rec: rec}
+		// A partial replay finds the midpoint op's time (op index Ops/2):
+		// the total count isn't known until the recording ends.
+		if n := rec.Stats().Ops; n > 0 {
+			src, err := rec.Ops()
 			if err != nil {
 				return tracePasses{}, err
 			}
-			for i := int64(0); i <= p.stats.Ops/2; i++ {
+			for i := int64(0); i <= n/2; i++ {
 				op, ok, err := src.Next()
 				if err != nil || !ok {
-					return tracePasses{}, fmt.Errorf("report: trace %d midpoint decode failed at op %d: %w", tr, i, err)
+					return tracePasses{}, fmt.Errorf("report: trace %d midpoint replay failed at op %d: %w", tr, i, err)
 				}
 				p.midTime = op.Time
 			}
@@ -291,7 +262,7 @@ func (ws *Workspace) TraceStatsContext(ctx context.Context, tr int) (prep.Stats,
 	if err != nil {
 		return prep.Stats{}, err
 	}
-	return p.stats, nil
+	return p.rec.Stats(), nil
 }
 
 // MidTime returns the time of the trace's midpoint operation (op index
@@ -328,11 +299,11 @@ func (ws *Workspace) AnalysisContext(ctx context.Context, tr int) (*lifetime.Ana
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.source()
+		src, err := p.rec.Ops()
 		if err != nil {
 			return nil, err
 		}
-		a, err := lifetime.AnalyzeWith(src, lifetime.Options{FilesHint: p.stats.Files})
+		a, err := lifetime.AnalyzeWith(src, lifetime.Options{FilesHint: p.rec.Stats().Files})
 		if err != nil {
 			return nil, fmt.Errorf("report: analyzing trace %d: %w", tr, err)
 		}
@@ -355,7 +326,7 @@ func (ws *Workspace) ScheduleContext(ctx context.Context, tr int) (*lifetime.Sch
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.source()
+		src, err := p.rec.Ops()
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +338,7 @@ func (ws *Workspace) ScheduleContext(ctx context.Context, tr int) (*lifetime.Sch
 	})
 }
 
-// Prewarm builds every standard trace's encoded stream, lifetime analysis,
+// Prewarm builds every standard trace's recording, lifetime analysis,
 // and omniscient schedule concurrently on the workspace engine. The
 // drivers hit the same singleflight entries, so a prewarmed workspace
 // serves every experiment from cache.

@@ -186,8 +186,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // NewBytesReader returns a Reader decoding an in-memory encoded trace.
 // It produces exactly the stream NewReader would, but reads varints
 // straight off the slice instead of through per-byte io.ByteReader
-// calls — the hot path for the report workspace, which re-decodes its
-// cached encodings once per simulation cell.
+// calls.
 func NewBytesReader(data []byte) (*Reader, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
 		return nil, ErrBadMagic

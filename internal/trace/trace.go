@@ -175,24 +175,3 @@ func (s *SliceSource) Next() (Event, bool, error) {
 	s.i++
 	return e, true, nil
 }
-
-// TeeSource forwards an event stream while writing every event into a
-// Writer, so one generation pass can feed an encoder and a downstream
-// consumer (canonicalization, statistics) simultaneously. The caller
-// still owns the Writer and must Close it after the stream ends.
-type TeeSource struct {
-	Src EventSource
-	W   *Writer
-}
-
-// Next implements EventSource.
-func (t *TeeSource) Next() (Event, bool, error) {
-	e, ok, err := t.Src.Next()
-	if err != nil || !ok {
-		return e, ok, err
-	}
-	if err := t.W.Write(e); err != nil {
-		return Event{}, false, err
-	}
-	return e, true, nil
-}

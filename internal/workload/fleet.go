@@ -165,7 +165,7 @@ func (c *FleetCursor) Next() (trace.Event, bool, error) {
 	for {
 		if len(c.g.pending) > 0 &&
 			(c.slots.Len() == 0 || c.g.pending[0].e.Time <= c.slots[0].when) {
-			e := heap.Pop(&c.g.pending).(pendingEvent).e
+			e := c.g.pending.pop().e
 			c.count++
 			return e, true, nil
 		}

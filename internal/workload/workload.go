@@ -159,7 +159,7 @@ func (c *Cursor) Next() (trace.Event, bool, error) {
 		// i.e. stably after) timestamp than the queue's minimum.
 		if len(c.g.pending) > 0 &&
 			(c.queue.Len() == 0 || c.g.pending[0].e.Time <= c.queue[0].when) {
-			e := heap.Pop(&c.g.pending).(pendingEvent).e
+			e := c.g.pending.pop().e
 			c.count++
 			return e, true, nil
 		}
@@ -238,7 +238,7 @@ func (g *generator) add(e trace.Event) {
 	if e.Time >= g.horizon {
 		return
 	}
-	heap.Push(&g.pending, pendingEvent{e: e, seq: g.seq})
+	g.pending.push(pendingEvent{e: e, seq: g.seq})
 	g.seq++
 }
 
@@ -250,22 +250,54 @@ type pendingEvent struct {
 }
 
 // eventHeap is a min-heap of pending events by (time, emission sequence).
+// Its typed push and pop sift exactly as container/heap does, without
+// boxing each event into an interface; (time, seq) keys are unique, so the
+// pop order is the key order whatever the sift.
 type eventHeap []pendingEvent
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].e.Time != h[j].e.Time {
 		return h[i].e.Time < h[j].e.Time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(pendingEvent)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+
+// push adds e and sifts it up.
+func (h *eventHeap) push(e pendingEvent) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the minimum: the last element replaces the
+// root and sifts down, as in container/heap.Pop.
+func (h *eventHeap) pop() pendingEvent {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	*h = s[:n]
 	return e
 }
 

@@ -180,6 +180,34 @@ func TestStandardProfilePanicsOutOfRange(t *testing.T) {
 	StandardProfile(0, 1)
 }
 
+// TestCursorAllocsPerEvent pins the generator's allocations per event.
+// The pending-event heap's typed push and pop allocate nothing: what is
+// left (about 0.002 per event) is actor setup and slice growth. Through
+// container/heap every event cost two allocations, one boxing it on
+// Push and one on Pop.
+func TestCursorAllocsPerEvent(t *testing.T) {
+	p := StandardProfile(7, 0.02)
+	var n int64
+	allocs := testing.AllocsPerRun(1, func() {
+		c := NewCursor(p)
+		for {
+			_, ok, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		n = c.Count()
+	})
+	perEvent := allocs / float64(n)
+	t.Logf("%.0f allocations for %d events = %.4f per event", allocs, n, perEvent)
+	if perEvent > 0.01 {
+		t.Fatalf("%.0f allocations for %d events = %.4f per event, want at most 0.01", allocs, n, perEvent)
+	}
+}
+
 func BenchmarkGenerateTypicalTrace(b *testing.B) {
 	p := StandardProfile(1, 0.1)
 	b.ReportAllocs()

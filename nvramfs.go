@@ -30,7 +30,6 @@
 package nvramfs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -160,38 +159,25 @@ type (
 // traces, as in the paper).
 const NumStandardTraces = workload.NumStandardTraces
 
-// Trace is a file-system trace ready for simulation, held as compact
-// delta-encoded bytes. Every simulation entry point streams the trace's
-// canonical operations through a fresh decode cursor (Ops), so running a
-// trace needs memory proportional to the cache under test, not the trace
-// length.
+// Trace is a file-system trace ready for simulation, held as its
+// recorded canonical operations (varint-encoded, about 1.5 bytes a field).
+// Every simulation entry point replays them through a fresh cursor (Ops),
+// so running a trace needs memory for the recording and the cache under
+// test, never for a materialized op slice.
 type Trace struct {
-	Name  string
-	enc   []byte
-	stats prep.Stats
+	Name string
+	rec  *prep.Recording
 }
 
-// encodeProfile synthesizes a workload in one streaming pass that tees
-// every event into the binary trace encoder while the canonicalizer
-// accumulates statistics; nothing materializes the event or op stream.
-func encodeProfile(p workload.Profile) (*Trace, error) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, p.Header())
+// recordProfile synthesizes a workload and records its canonical
+// operations in one streaming pass; nothing materializes the event or op
+// stream.
+func recordProfile(p workload.Profile) (*Trace, error) {
+	rec, err := prep.Record(workload.NewCursor(p), prep.Options{Trusted: true})
 	if err != nil {
 		return nil, err
 	}
-	c := prep.NewSource(&trace.TeeSource{Src: workload.NewCursor(p), W: w}, prep.Options{Trusted: true})
-	for {
-		if _, ok, err := c.Next(); err != nil {
-			return nil, err
-		} else if !ok {
-			break
-		}
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return &Trace{Name: p.Name, enc: buf.Bytes(), stats: c.Stats()}, nil
+	return &Trace{Name: p.Name, rec: rec}, nil
 }
 
 // StandardTrace synthesizes standard trace i (1..8) at the given volume
@@ -201,7 +187,7 @@ func StandardTrace(i int, scale float64) (*Trace, error) {
 	if i < 1 || i > NumStandardTraces {
 		return nil, fmt.Errorf("nvramfs: trace index %d out of range 1..%d", i, NumStandardTraces)
 	}
-	return encodeProfile(workload.StandardProfile(i, scale))
+	return recordProfile(workload.StandardProfile(i, scale))
 }
 
 // WorkloadTemplate writes an example JSON workload profile (the standard
@@ -222,7 +208,7 @@ func CustomTrace(config io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeProfile(p)
+	return recordProfile(p)
 }
 
 // WriteCustomTrace synthesizes a trace from a JSON workload profile and
@@ -244,29 +230,20 @@ func WriteCustomTrace(w io.Writer, config io.Reader) (int64, error) {
 }
 
 // ReadTrace loads a trace from the binary trace format (as written by
-// cmd/nvtrace or WriteStandardTrace). The encoded bytes are kept as-is;
-// one streaming validation pass collects the statistics and rejects
-// corrupt or out-of-order input.
+// cmd/nvtrace or WriteStandardTrace), canonicalizing it once into a
+// recording; the pass rejects corrupt or out-of-order input.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := trace.NewBytesReader(data)
+	tr, err := trace.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	// The Reader validates every event and rejects clock regressions at
 	// decode, so the canonicalizer can trust the stream.
-	c := prep.NewSource(tr, prep.Options{Trusted: true})
-	for {
-		if _, ok, err := c.Next(); err != nil {
-			return nil, err
-		} else if !ok {
-			break
-		}
+	rec, err := prep.Record(tr, prep.Options{Trusted: true})
+	if err != nil {
+		return nil, err
 	}
-	return &Trace{Name: tr.Header().Name, enc: data, stats: c.Stats()}, nil
+	return &Trace{Name: tr.Header().Name, rec: rec}, nil
 }
 
 // WriteStandardTrace synthesizes standard trace i and writes it in the
@@ -288,24 +265,18 @@ func WriteStandardTrace(w io.Writer, i int, scale float64) (int64, error) {
 }
 
 // Stats returns trace-level totals (events, bytes read/written, files).
-func (t *Trace) Stats() TraceStats { return t.stats }
+func (t *Trace) Stats() TraceStats { return t.rec.Stats() }
 
 // NumOps returns the number of canonicalized simulation operations —
 // the domain of CrashCache's event boundaries (0..NumOps inclusive).
-func (t *Trace) NumOps() int { return int(t.stats.Ops) }
+func (t *Trace) NumOps() int { return int(t.rec.Stats().Ops) }
 
-// Ops returns a fresh single-use streaming cursor over the trace's
-// canonical operations; Trace implements the simulators' replayable
-// stream interface, so multi-pass consumers (the LFS crash oracle) ask
-// for a new cursor per pass. Cursors are independent: any number may be
-// open at once, each decoding the shared bytes on its own.
-func (t *Trace) Ops() (prep.Source, error) {
-	tr, err := trace.NewBytesReader(t.enc)
-	if err != nil {
-		return nil, err
-	}
-	return prep.NewSource(tr, prep.Options{Trusted: true, FilesHint: t.stats.Files}), nil
-}
+// Ops returns a fresh single-use cursor over the trace's canonical
+// operations; Trace implements the simulators' replayable stream
+// interface, so multi-pass consumers (the LFS crash oracle) ask for a new
+// cursor per pass. Cursors are independent: any number may be open at
+// once, each decoding the shared recording on its own.
+func (t *Trace) Ops() (prep.Source, error) { return t.rec.Ops() }
 
 // DumpTrace pretty-prints a trace file's header and first n events (all
 // when n <= 0); a trace-inspection aid for cmd/nvtrace -dump.
@@ -338,7 +309,7 @@ func (t *Trace) Analyze() (*Lifetime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lifetime.AnalyzeWith(src, lifetime.Options{FilesHint: t.stats.Files})
+	return lifetime.AnalyzeWith(src, lifetime.Options{FilesHint: t.rec.Stats().Files})
 }
 
 // CacheConfig parameterizes a client cache simulation.
@@ -432,7 +403,7 @@ func (t *Trace) simConfig(cfg CacheConfig) (sim.Config, error) {
 		},
 		Seed:       cfg.Seed,
 		WritesOnly: cfg.WritesOnly,
-		FilesHint:  t.stats.Files,
+		FilesHint:  t.rec.Stats().Files,
 		Faults:     fp,
 	}, nil
 }
