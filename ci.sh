@@ -28,7 +28,7 @@ fi
 # Quick path first: the plain -short suite (including the crash-injection
 # sweeps and the live nvramd kill/restart test) finishes in about a minute
 # and catches most breakage before the full -race pass, which takes
-# about 11 minutes on a 2-CPU box (this whole script about 16).
+# about 10 minutes on a 2-CPU box (this whole script about 15).
 go test -short ./...
 
 # The benchmark is a nested module (bench/go.mod, replace => ..) that the
@@ -39,10 +39,10 @@ go test -short ./...
 # And run it, briefly: the live workloads exit non-zero on any broken
 # conservation, corpse-image, RECOVERED= or zero-records check, and a change
 # that breaks one should fail here, not as a rejected benchmark run;
-# sweep_server checks that repeated server studies hash alike. About
-# 16 s in all; the benchmark refuses to run on fewer than two CPUs.
+# sweep_client and sweep_server check that repeated sweeps hash alike.
+# About 30 s in all; the benchmark refuses to run on fewer than two CPUs.
 if [ "$(nproc)" -ge 2 ]; then
-	for w in daemon_park daemon_mix daemon_open sweep_server; do
+	for w in daemon_park daemon_mix daemon_open sweep_server sweep_client; do
 		bash bench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0
 	done
 	bash bench/run.sh --workload daemon_park --seed 1 --seconds 2 --trace 1
@@ -53,9 +53,10 @@ fi
 # skip under -short and under the race detector, so they run here by name.
 go test -count=1 -run 'HeapBound' .
 
-# The report sweeps re-canonicalize each trace per pass (the streaming
-# pipeline's CPU-for-memory tradeoff), which under the race detector's
-# ~10x slowdown can push the package past go test's default 10m timeout.
+# The report package simulates every figure's grid at test scale several
+# times over (the golden render at one and eight workers, the call-order
+# and concurrency tests), which under the race detector's ~10x slowdown
+# can push it past go test's default 10m timeout.
 go test -race -timeout 30m ./...
 
 # Bench smoke: one iteration of every benchmark under the race detector, so
