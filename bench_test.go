@@ -40,7 +40,7 @@ func benchWorkspace(b *testing.B) *Workspace {
 		// experiment, not trace synthesis. TraceStats forces the
 		// encoded-trace build; cursors then decode from cache.
 		for i := 1; i <= NumStandardTraces; i++ {
-			if _, err := benchWS.ws.TraceStats(i); err != nil {
+			if _, err := benchWS.ws.TraceStatsContext(context.Background(), i); err != nil {
 				panic(err)
 			}
 		}
@@ -65,7 +65,7 @@ func BenchmarkFigure2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Figure2(ws)
+		r, err := Figure2Context(context.Background(), ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Table2(ws)
+		r, err := Table2Context(context.Background(), ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkFigure3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure3(ws); err != nil {
+		if _, err := Figure3Context(context.Background(), ws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func BenchmarkFigure4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure4(ws); err != nil {
+		if _, err := Figure4Context(context.Background(), ws); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func modelWorkspace(b *testing.B) *Workspace {
 	b.StopTimer()
 	defer b.StartTimer()
 	ws := NewWorkspace(benchScale)
-	if _, err := ws.TraceStats(7); err != nil {
+	if _, err := ws.TraceStatsContext(context.Background(), 7); err != nil {
 		b.Fatal(err)
 	}
 	return ws
@@ -129,7 +129,7 @@ func modelWorkspace(b *testing.B) *Workspace {
 func BenchmarkFigure5(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure5(modelWorkspace(b)); err != nil {
+		if _, err := Figure5Context(context.Background(), modelWorkspace(b)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fig6, err := Figure6(modelWorkspace(b))
+		fig6, err := Figure6Context(context.Background(), modelWorkspace(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkBusTraffic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BusTraffic(modelWorkspace(b)); err != nil {
+		if _, err := BusTrafficContext(context.Background(), modelWorkspace(b)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package nvramfs_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -92,9 +93,9 @@ func ExampleFS_SimulateCrashAndRecover() {
 
 // Regenerating one of the paper's figures programmatically (compile-only:
 // the rendering is shown by cmd/nvreport).
-func ExampleFigure4() {
+func ExampleFigure4Context() {
 	ws := nvramfs.NewWorkspace(0.1)
-	fig4, err := nvramfs.Figure4(ws)
+	fig4, err := nvramfs.Figure4Context(context.Background(), ws)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -25,7 +26,7 @@ func main() {
 	// from 8 MB and 16 MB bases on the typical trace.
 	fmt.Println("\nmeasuring traffic curves (Figure 6)...")
 	ws := nvramfs.NewWorkspace(*scale)
-	fig6, err := nvramfs.Figure6(ws)
+	fig6, err := nvramfs.Figure6Context(context.Background(), ws)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -25,7 +26,7 @@ func main() {
 	fmt.Println()
 
 	ws := nvramfs.NewWorkspace(*scale)
-	res, err := nvramfs.StackStudy(ws)
+	res, err := nvramfs.StackStudyContext(context.Background(), ws)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,15 +46,11 @@ type AblationResult struct {
 	CostBenefitCopied int64
 }
 
-// Ablations runs the four ablation studies.
-func Ablations(ws *Workspace) (*AblationResult, error) {
-	return AblationsContext(context.Background(), ws)
-}
-
-// AblationsContext runs every independent ablation measurement — the two
-// dirty-preference runs, the two hybrid-vs-unified runs, the per-trace
-// consistency analyses, and the two cleaner-policy runs — as one job list
-// on the workspace engine, then assembles the result in a fixed order.
+// AblationsContext runs the four ablation studies: every independent
+// measurement — the two dirty-preference runs, the two hybrid-vs-unified
+// runs, the per-trace consistency analyses, and the two cleaner-policy
+// runs — as one job list on the workspace engine, then assembles the
+// result in a fixed order.
 func AblationsContext(ctx context.Context, ws *Workspace) (*AblationResult, error) {
 	res := &AblationResult{}
 

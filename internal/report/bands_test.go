@@ -1,9 +1,11 @@
 package report
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"nvramfs/internal/engine"
 	"nvramfs/internal/workload"
 )
 
@@ -22,7 +24,7 @@ func bandWS(t *testing.T) *Workspace {
 
 func TestPaperBandFigure2(t *testing.T) {
 	ws := bandWS(t)
-	r, err := Figure2(ws)
+	r, err := Figure2Context(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestPaperBandFigure2(t *testing.T) {
 	}
 	// Heavy traces: ">80% die within half an hour".
 	for _, tr := range []int{3, 4} {
-		a, err := ws.Analysis(tr)
+		a, err := ws.AnalysisContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func TestPaperBandFigure2(t *testing.T) {
 
 func TestPaperBandTable2(t *testing.T) {
 	ws := bandWS(t)
-	r, err := Table2(ws)
+	r, err := Table2Context(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestPaperBandTable2(t *testing.T) {
 
 func TestPaperBandFigure4(t *testing.T) {
 	ws := bandWS(t)
-	r, err := Figure4(ws)
+	r, err := Figure4Context(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestPaperBandBuffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-band acceptance tests skipped in -short mode")
 	}
-	r, err := ServerStudy(3 * 24 * time.Hour)
+	r, err := ServerStudyContext(context.Background(), engine.New(0), 3*24*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func (r *ModelCompareResult) Plot(w io.Writer, title string) error {
 
 // Plot renders a Figure2Result as an ASCII chart (a subset of traces keeps
 // the plot legible: 1, 3, and 7 as in the paper's discussion).
-func (r *Figure2Result) Plot(w io.Writer) error {
+func (r *Figure2Result) Plot(w io.Writer, title string) error {
 	pick := []int{0, 2, 6}
 	var labels []string
 	var series [][]float64
@@ -170,8 +170,7 @@ func (r *Figure2Result) Plot(w io.Writer) error {
 		}
 	}
 	c := &Chart{
-		Title:  "Figure 2: net write traffic (%) vs write-back delay (min, log)",
-		XLabel: "minutes (log)", LogX: true,
+		Title: title, XLabel: "minutes (log)", LogX: true,
 		X: r.DelayMinutes, Labels: labels, Series: series,
 	}
 	return c.Render(w)

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -45,20 +46,20 @@ func TestChartEmpty(t *testing.T) {
 }
 
 func TestResultPlots(t *testing.T) {
-	fig2, err := Figure2(sharedWS)
+	fig2, err := Figure2Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig4, err := Figure4(sharedWS)
+	fig4, err := Figure4Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig5, err := Figure5(sharedWS)
+	fig5, err := Figure5Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := fig2.Plot(&buf); err != nil {
+	if err := fig2.Plot(&buf, "fig2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fig4.Plot(&buf, "fig4"); err != nil {

@@ -42,13 +42,8 @@ type Figure2Result struct {
 	Dead30s []float64
 }
 
-// Figure2 runs the byte-lifetime sweep over the standard traces.
-func Figure2(ws *Workspace) (*Figure2Result, error) {
-	return Figure2Context(context.Background(), ws)
-}
-
-// Figure2Context is Figure2 with cancellation; the per-trace analyses run
-// concurrently on the workspace engine.
+// Figure2Context runs the byte-lifetime sweep over the standard traces;
+// the per-trace analyses run concurrently on the workspace engine.
 func Figure2Context(ctx context.Context, ws *Workspace) (*Figure2Result, error) {
 	traces := AllTraces()
 	type traceRow struct {
@@ -107,13 +102,9 @@ type Table2Result struct {
 	PerTrace map[int]lifetime.Fate
 }
 
-// Table2 runs the infinite-cache fate analysis over the standard traces.
-func Table2(ws *Workspace) (*Table2Result, error) {
-	return Table2Context(context.Background(), ws)
-}
-
-// Table2Context is Table2 with cancellation; analyses run concurrently
-// and the cross-trace totals are accumulated in trace order.
+// Table2Context runs the infinite-cache fate analysis over the standard
+// traces; analyses run concurrently and the cross-trace totals are
+// accumulated in trace order.
 func Table2Context(ctx context.Context, ws *Workspace) (*Table2Result, error) {
 	traces := AllTraces()
 	fates, err := engine.Map(ctx, ws.Engine(), len(traces), func(ctx context.Context, i int) (lifetime.Fate, error) {
@@ -185,16 +176,12 @@ type PolicySweepResult struct {
 	Frac   [][]float64
 }
 
-// Figure3 runs the omniscient unified-model sweep for every standard
-// trace (writes only, as in the paper's Figure 3 methodology).
-func Figure3(ws *Workspace) (*PolicySweepResult, error) {
-	return Figure3Context(context.Background(), ws)
-}
-
-// Figure3Context reads every (trace, NVRAM size) cell through the
-// workspace's cell memo (cellTraffic): each trace's row is one lockstep
-// job that replays the trace once for every size. Rows assemble in trace
-// order, so the output is identical at any worker count.
+// Figure3Context runs the omniscient unified-model sweep for every
+// standard trace (writes only, as in the paper's Figure 3 methodology).
+// It reads every (trace, NVRAM size) cell through the workspace's cell
+// memo (cellTraffic): each trace's row is one lockstep job that replays
+// the trace once for every size. Rows assemble in trace order, so the
+// output is identical at any worker count.
 func Figure3Context(ctx context.Context, ws *Workspace) (*PolicySweepResult, error) {
 	traces := AllTraces()
 	res := &PolicySweepResult{SizesMB: DefaultNVRAMSizesMB}
@@ -224,13 +211,8 @@ var figure4Series = []struct {
 	{"omniscient", cache.Omniscient, true},
 }
 
-// Figure4 compares LRU, random, and omniscient replacement on the model
-// trace.
-func Figure4(ws *Workspace) (*PolicySweepResult, error) {
-	return Figure4Context(context.Background(), ws)
-}
-
-// Figure4Context reads each policy series' cells through the cell memo,
+// Figure4Context compares LRU, random, and omniscient replacement on the
+// model trace. It reads each policy series' cells through the cell memo,
 // assembling the series in declaration order. The omniscient series is
 // Figure 3's trace-7 row and the LRU series shares five cells with
 // Figure 5's unified series, so after those figures only the cells no
@@ -311,24 +293,15 @@ var figure6Series = []modelSeries{
 	{"unified-16MB", cache.ModelUnified, 16},
 }
 
-// Figure5 compares the three cache models on the model trace, each
-// starting from an 8 MB volatile cache: the volatile series adds volatile
-// memory, the NVRAM series add NVRAM.
-func Figure5(ws *Workspace) (*ModelCompareResult, error) {
-	return Figure5Context(context.Background(), ws)
-}
-
-// Figure5Context is Figure5 with cancellation, run as a grid.
+// Figure5Context compares the three cache models on the model trace,
+// each starting from an 8 MB volatile cache: the volatile series adds
+// volatile memory, the NVRAM series add NVRAM.
 func Figure5Context(ctx context.Context, ws *Workspace) (*ModelCompareResult, error) {
 	return modelCompare(ctx, ws, figure5Series)
 }
 
-// Figure6 compares volatile and unified growth from 8 MB and 16 MB bases.
-func Figure6(ws *Workspace) (*ModelCompareResult, error) {
-	return Figure6Context(context.Background(), ws)
-}
-
-// Figure6Context is Figure6 with cancellation, run as a grid.
+// Figure6Context compares volatile and unified growth from 8 MB and
+// 16 MB bases.
 func Figure6Context(ctx context.Context, ws *Workspace) (*ModelCompareResult, error) {
 	return modelCompare(ctx, ws, figure6Series)
 }
@@ -537,16 +510,12 @@ type BusResult struct {
 	AppWriteBytes      int64
 }
 
-// BusTraffic measures the Section 2.6 claims on the model trace:
+// BusTrafficContext measures the Section 2.6 claims on the model trace:
 // write-aside stores every written byte twice (2x bus traffic), the
 // unified model stores once plus occasional transfers (>=25% less), and
-// the unified model makes 2-2.5x as many NVRAM accesses.
-func BusTraffic(ws *Workspace) (*BusResult, error) {
-	return BusTrafficContext(context.Background(), ws)
-}
-
-// BusTrafficContext reads the two models' 8 MB + 8 MB cells, which are
-// Figure 5's +8 MB cells, from the workspace's memoized model traffic.
+// the unified model makes 2-2.5x as many NVRAM accesses. It reads the two
+// models' 8 MB + 8 MB cells, which are Figure 5's +8 MB cells, from the
+// workspace's memoized model traffic.
 func BusTrafficContext(ctx context.Context, ws *Workspace) (*BusResult, error) {
 	traffic, err := ws.cellTraffic(ctx, []cellKey{
 		modelSeries{model: cache.ModelWriteAside, baseMB: 8}.key(8),

@@ -78,14 +78,10 @@ type DegradedResult struct {
 	ConservationOK  bool
 }
 
-// Degraded runs the fault-injection grid over the standard traces.
-func Degraded(ws *Workspace) (*DegradedResult, error) {
-	return DegradedContext(context.Background(), ws)
-}
-
-// DegradedContext runs the (trace, organization, profile) grid on the
-// workspace engine, one faulty simulation per cell, assembled in grid
-// order — byte-identical at any worker count.
+// DegradedContext runs the fault-injection grid over the standard traces:
+// the (trace, organization, profile) grid runs on the workspace engine,
+// one faulty simulation per cell, assembled in grid order — byte-identical
+// at any worker count.
 func DegradedContext(ctx context.Context, ws *Workspace) (*DegradedResult, error) {
 	traces := AllTraces()
 	orgs := degradedOrgs()

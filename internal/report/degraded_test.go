@@ -22,7 +22,7 @@ import (
 // high-water mark.
 func TestDegradedHeadlineHolds(t *testing.T) {
 	ws := NewWorkspace(0.02)
-	res, err := Degraded(ws)
+	res, err := DegradedContext(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDegradedDeterministicAcrossWorkerCounts(t *testing.T) {
 	render := func(workers int) string {
 		ws := NewWorkspace(0.02)
 		ws.SetEngine(engine.New(workers))
-		res, err := Degraded(ws)
+		res, err := DegradedContext(context.Background(), ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestDegradedCancellation(t *testing.T) {
 func TestDegradedCancelDuringNeverOutageNoGoroutineLeak(t *testing.T) {
 	ws := NewWorkspace(0.02)
 	ws.SetEngine(engine.New(4))
-	src, err := ws.OpsSource(1)
+	src, err := ws.OpsSourceContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

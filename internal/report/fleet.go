@@ -110,12 +110,8 @@ type FleetResult struct {
 	Rows []FleetRow
 }
 
-// Fleet runs the fleet grid with default options.
-func Fleet(ws *Workspace) (*FleetResult, error) {
-	return FleetContext(context.Background(), ws)
-}
-
-// FleetContext runs the fleet grid on the workspace engine.
+// FleetContext runs the fleet grid with default options on the workspace
+// engine.
 func FleetContext(ctx context.Context, ws *Workspace) (*FleetResult, error) {
 	return FleetWithOptions(ctx, ws, FleetOptions{})
 }

@@ -26,16 +26,10 @@ type LatencyResult struct {
 	TotalBytes int64
 }
 
-// FsyncLatencyStudy replays the model trace, measuring each fsync's dirty
-// payload (the file's bytes written since its last flush) and pricing it
-// under the three paths.
-func FsyncLatencyStudy(ws *Workspace) (*LatencyResult, error) {
-	return FsyncLatencyStudyContext(context.Background(), ws)
-}
-
-// FsyncLatencyStudyContext is FsyncLatencyStudy with cancellation. The
-// study is a single sequential trace pass, so only the shared trace build
-// fans out.
+// FsyncLatencyStudyContext replays the model trace, measuring each
+// fsync's dirty payload (the file's bytes written since its last flush)
+// and pricing it under the three paths. The study is a single sequential
+// trace pass, so only the shared trace build fans out.
 func FsyncLatencyStudyContext(ctx context.Context, ws *Workspace) (*LatencyResult, error) {
 	src, err := ws.OpsSourceContext(ctx, ModelTrace)
 	if err != nil {

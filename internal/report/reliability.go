@@ -64,13 +64,9 @@ type ReliabilityResult struct {
 	Rows   []ReliabilityRow
 }
 
-// Reliability runs the crash-injection grid over the standard traces.
-func Reliability(ws *Workspace) (*ReliabilityResult, error) {
-	return ReliabilityContext(context.Background(), ws)
-}
-
-// ReliabilityContext runs the (trace, configuration, crash point) grid on
-// the workspace engine, one injection per cell, assembled in grid order —
+// ReliabilityContext runs the crash-injection grid over the standard
+// traces: the (trace, configuration, crash point) grid runs on the
+// workspace engine, one injection per cell, assembled in grid order —
 // the result is byte-identical at any worker count.
 func ReliabilityContext(ctx context.Context, ws *Workspace) (*ReliabilityResult, error) {
 	traces := AllTraces()

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func runReliability(t *testing.T, workers int) (*ReliabilityResult, string) {
 	t.Helper()
 	ws := NewWorkspace(0.02)
 	ws.SetEngine(engine.New(workers))
-	r, err := Reliability(ws)
+	r, err := ReliabilityContext(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}

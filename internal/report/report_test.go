@@ -2,12 +2,14 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"nvramfs/internal/cache"
+	"nvramfs/internal/engine"
 	"nvramfs/internal/prep"
 	"nvramfs/internal/sim"
 )
@@ -16,7 +18,7 @@ import (
 var sharedWS = NewWorkspace(0.03)
 
 func TestFigure2Shape(t *testing.T) {
-	r, err := Figure2(sharedWS)
+	r, err := Figure2Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	r, err := Table2(sharedWS)
+	r, err := Table2Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	r, err := Figure4(sharedWS)
+	r, err := Figure4Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	r, err := Figure5(sharedWS)
+	r, err := Figure5Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6AndCostStudy(t *testing.T) {
-	r, err := Figure6(sharedWS)
+	r, err := Figure6Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestFigure6AndCostStudy(t *testing.T) {
 }
 
 func TestBusTrafficClaims(t *testing.T) {
-	r, err := BusTraffic(sharedWS)
+	r, err := BusTrafficContext(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestBusTrafficClaims(t *testing.T) {
 }
 
 func TestServerStudyShape(t *testing.T) {
-	r, err := ServerStudy(8 * time.Hour)
+	r, err := ServerStudyContext(context.Background(), engine.New(0), 8*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,7 @@ func TestSortedBufferReport(t *testing.T) {
 
 func TestWorkspaceCaching(t *testing.T) {
 	ws := NewWorkspace(0.02)
-	src, err := ws.OpsSource(1)
+	src, err := ws.OpsSourceContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +273,7 @@ func TestWorkspaceCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err = ws.OpsSource(1)
+	src, err = ws.OpsSourceContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestWorkspaceCaching(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("repeated OpsSource cursors decoded different streams")
 	}
-	st, err := ws.TraceStats(1)
+	st, err := ws.TraceStatsContext(context.Background(), 1)
 	if err != nil || st.BytesWritten == 0 {
 		t.Fatalf("stats: %+v, %v", st, err)
 	}
@@ -294,7 +296,7 @@ func TestWorkspaceCaching(t *testing.T) {
 }
 
 func TestAblationsShape(t *testing.T) {
-	r, err := Ablations(sharedWS)
+	r, err := AblationsContext(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestHybridModelRunsThroughSim(t *testing.T) {
-	src, err := sharedWS.OpsSource(1)
+	src, err := sharedWS.OpsSourceContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +355,7 @@ func TestHybridModelRunsThroughSim(t *testing.T) {
 }
 
 func TestFsyncLatencyStudy(t *testing.T) {
-	r, err := FsyncLatencyStudy(sharedWS)
+	r, err := FsyncLatencyStudyContext(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +375,7 @@ func TestFsyncLatencyStudy(t *testing.T) {
 }
 
 func TestServerCacheStudyShape(t *testing.T) {
-	r, err := ServerCacheStudy(4 * time.Hour)
+	r, err := ServerCacheStudyContext(context.Background(), engine.New(0), 4*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +396,7 @@ func TestServerCacheStudyShape(t *testing.T) {
 }
 
 func TestStackStudyShape(t *testing.T) {
-	r, err := StackStudy(sharedWS)
+	r, err := StackStudyContext(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,15 +430,15 @@ func TestStackStudyShape(t *testing.T) {
 }
 
 func TestCSVExports(t *testing.T) {
-	fig2, err := Figure2(sharedWS)
+	fig2, err := Figure2Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab2, err := Table2(sharedWS)
+	tab2, err := Table2Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig6, err := Figure6(sharedWS)
+	fig6, err := Figure6Context(context.Background(), sharedWS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,15 +49,11 @@ type ServerStudyResult struct {
 	BufferBytes int64
 }
 
-// ServerStudy replays every standard file-system workload twice — without
-// and with a one-half megabyte NVRAM write buffer — and collects the
-// measurements behind Tables 3 and 4 and the Section 3 buffer claims.
-func ServerStudy(duration time.Duration) (*ServerStudyResult, error) {
-	return ServerStudyContext(context.Background(), engine.New(0), duration)
-}
-
-// ServerStudyContext runs the (file system, buffer) grid — sixteen
-// independent LFS replays — on eng, assembling rows in profile order.
+// ServerStudyContext replays every standard file-system workload twice —
+// without and with a one-half megabyte NVRAM write buffer — and collects
+// the measurements behind Tables 3 and 4 and the Section 3 buffer claims.
+// The (file system, buffer) grid's sixteen independent LFS replays run on
+// eng, and rows assemble in profile order.
 func ServerStudyContext(ctx context.Context, eng *engine.Engine, duration time.Duration) (*ServerStudyResult, error) {
 	if duration <= 0 {
 		duration = serverload.DefaultDuration

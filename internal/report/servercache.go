@@ -31,15 +31,11 @@ type ServerCacheResult struct {
 // DefaultServerCacheSizesMB is the server NVRAM region sweep.
 var DefaultServerCacheSizesMB = []float64{0, 0.5, 1, 2}
 
-// ServerCacheStudy sweeps the server NVRAM cache size over the standard
-// file-system workloads. The volatile server cache is fixed at 16 MB per
-// file system (Sprite's 128 MB shared across its volumes).
-func ServerCacheStudy(duration time.Duration) (*ServerCacheResult, error) {
-	return ServerCacheStudyContext(context.Background(), engine.New(0), duration)
-}
-
-// ServerCacheStudyContext runs the (file system, NVRAM size) grid on eng,
-// one server + LFS replay per cell, assembled in profile order.
+// ServerCacheStudyContext sweeps the server NVRAM cache size over the
+// standard file-system workloads. The volatile server cache is fixed at
+// 16 MB per file system (Sprite's 128 MB shared across its volumes). The
+// (file system, NVRAM size) grid runs on eng, one server + LFS replay per
+// cell, assembled in profile order.
 func ServerCacheStudyContext(ctx context.Context, eng *engine.Engine, duration time.Duration) (*ServerCacheResult, error) {
 	if duration <= 0 {
 		duration = serverload.DefaultDuration

@@ -47,17 +47,12 @@ var stackConfigs = []struct {
 	{"client NVRAM (1 MB) + server NVRAM (1 MB)", cache.ModelUnified, 1, 256},
 }
 
-// StackStudy replays the model trace through three configurations:
+// StackStudyContext replays the model trace through three configurations:
 // all-volatile, client NVRAM only, and client NVRAM plus a server NVRAM
 // region. Client write-backs, misses, fsyncs, and deletions flow into the
 // server via the cache hooks; the server stages them into the LFS, whose
-// disk access counts close the loop.
-func StackStudy(ws *Workspace) (*StackResult, error) {
-	return StackStudyContext(context.Background(), ws)
-}
-
-// StackStudyContext runs the three configurations concurrently; each job
-// owns its entire client-to-disk pipeline.
+// disk access counts close the loop. The three configurations run
+// concurrently; each job owns its entire client-to-disk pipeline.
 func StackStudyContext(ctx context.Context, ws *Workspace) (*StackResult, error) {
 	rows, err := engine.Map(ctx, ws.Engine(), len(stackConfigs), func(ctx context.Context, i int) (StackRow, error) {
 		c := stackConfigs[i]

@@ -2,6 +2,7 @@ package nvramfs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -223,44 +224,44 @@ func TestConservationAcrossModels(t *testing.T) {
 // scale, verifying the public API is fully wired.
 func TestFacadeExperiments(t *testing.T) {
 	ws := NewWorkspace(0.02)
-	if _, err := Figure2(ws); err != nil {
+	if _, err := Figure2Context(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Table2(ws); err != nil {
+	if _, err := Table2Context(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure3(ws); err != nil {
+	if _, err := Figure3Context(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure4(ws); err != nil {
+	if _, err := Figure4Context(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure5(ws); err != nil {
+	if _, err := Figure5Context(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	fig6, err := Figure6(ws)
+	fig6, err := Figure6Context(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs := CostStudy(fig6); len(cs.Rows) == 0 {
 		t.Fatal("empty cost study")
 	}
-	if _, err := BusTraffic(ws); err != nil {
+	if _, err := BusTrafficContext(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ServerStudy(2 * time.Hour); err != nil {
+	if _, err := ServerStudyContext(context.Background(), NewEngine(0), 2*time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ServerCacheStudy(2 * time.Hour); err != nil {
+	if _, err := ServerCacheStudyContext(context.Background(), NewEngine(0), 2*time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FsyncLatencyStudy(ws); err != nil {
+	if _, err := FsyncLatencyStudyContext(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StackStudy(ws); err != nil {
+	if _, err := StackStudyContext(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Ablations(ws); err != nil {
+	if _, err := AblationsContext(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	if r := ReadResponseStudy(); len(r.WriteUnitKB) == 0 {
