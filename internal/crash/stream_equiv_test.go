@@ -31,7 +31,7 @@ func encodedTrace(t *testing.T, idx int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.GenerateToWriter(p, tw); err != nil {
+	if _, err := workload.Generate(p, tw.Write); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -51,16 +51,11 @@ func streamSource(t *testing.T, enc []byte) prep.Source {
 	return prep.NewSource(rd, prep.Options{Trusted: true})
 }
 
-// sliceOps is the materializing shim: the equivalent of the pre-streaming
-// pipeline, which built the full event slice and canonicalized it in one
-// shot.
+// sliceOps is the materialized path: the generator's events canonicalized
+// without the codec, untrusted, and collected into one op slice.
 func sliceOps(t *testing.T, idx int) []prep.Op {
 	t.Helper()
-	evs, err := workload.GenerateEvents(workload.StandardProfile(idx, equivScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, _, err := prep.CanonicalizeAll(evs)
+	ops, err := prep.Collect(prep.NewSource(workload.NewCursor(workload.StandardProfile(idx, equivScale)), prep.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +73,7 @@ func TestStreamingSimEquivalence(t *testing.T) {
 		for _, kind := range allKinds {
 			cfg := simCfg(kind)
 			cfg.Seed = int64(idx)
-			want, err := sim.RunOps(ops, cfg)
+			want, err := sim.Run(prep.NewSliceSource(ops), cfg)
 			if err != nil {
 				t.Fatalf("trace %d %v slice: %v", idx, kind, err)
 			}

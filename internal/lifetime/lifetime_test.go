@@ -134,15 +134,7 @@ func TestAnalyzeFsyncIsFree(t *testing.T) {
 }
 
 func TestNetWriteFracMonotone(t *testing.T) {
-	evs, err := workload.GenerateEvents(workload.StandardProfile(1, 0.03))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, _, err := prep.CanonicalizeAll(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Analyze(prep.NewSliceSource(ops))
+	a, err := Analyze(prep.NewSource(workload.NewCursor(workload.StandardProfile(1, 0.03)), prep.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,19 +157,12 @@ func TestNetWriteFracMonotone(t *testing.T) {
 
 func TestFateConservationOnGeneratedTraces(t *testing.T) {
 	for i := 1; i <= workload.NumStandardTraces; i++ {
-		evs, err := workload.GenerateEvents(workload.StandardProfile(i, 0.02))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops, st, err := prep.CanonicalizeAll(evs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := Analyze(prep.NewSliceSource(ops))
+		src := prep.NewSource(workload.NewCursor(workload.StandardProfile(i, 0.02)), prep.Options{})
+		a, err := Analyze(src)
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
-		if a.Fate.Total != st.BytesWritten {
+		if st := src.Stats(); a.Fate.Total != st.BytesWritten {
 			t.Fatalf("trace %d: fate total %d != written %d", i, a.Fate.Total, st.BytesWritten)
 		}
 	}
@@ -243,11 +228,7 @@ func TestBlockConsistencyRecallsOnlyReadBytes(t *testing.T) {
 }
 
 func TestBlockConsistencyNeverWorse(t *testing.T) {
-	evs, err := workload.GenerateEvents(workload.StandardProfile(7, 0.03))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, _, err := prep.CanonicalizeAll(evs)
+	ops, err := prep.Collect(prep.NewSource(workload.NewCursor(workload.StandardProfile(7, 0.03)), prep.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,36 +378,6 @@ func (c *Canonicalizer) apply(e trace.Event) (Op, bool) {
 	return o, emitted
 }
 
-// Canonicalize converts a materialized event slice into canonical ops,
-// delivering each to emit in order, and returns trace statistics. It is
-// the push-style shim over the streaming Canonicalizer; events must be in
-// non-decreasing time order.
-func Canonicalize(events []trace.Event, emit func(Op) error) (Stats, error) {
-	c := NewSource(trace.NewSliceSource(events), Options{})
-	for {
-		o, ok, err := c.Next()
-		if err != nil {
-			return c.Stats(), err
-		}
-		if !ok {
-			return c.Stats(), nil
-		}
-		if err := emit(o); err != nil {
-			return c.Stats(), err
-		}
-	}
-}
-
-// CanonicalizeAll converts events and collects the ops into a slice.
-func CanonicalizeAll(events []trace.Event) ([]Op, Stats, error) {
-	ops := make([]Op, 0, len(events))
-	st, err := Canonicalize(events, func(o Op) error {
-		ops = append(ops, o)
-		return nil
-	})
-	return ops, st, err
-}
-
 // SliceSource adapts a materialized op slice to a Source.
 type SliceSource struct {
 	ops []Op

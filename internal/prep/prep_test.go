@@ -15,6 +15,14 @@ func ev(t int64, c uint32, op trace.Op, f uint64, off, n int64) trace.Event {
 	return e
 }
 
+// canonicalize streams events through the canonicalizer and collects its
+// ops and statistics.
+func canonicalize(events []trace.Event) ([]Op, Stats, error) {
+	c := NewSource(trace.NewSliceSource(events), Options{})
+	ops, err := Collect(c)
+	return ops, c.Stats(), err
+}
+
 func TestCanonicalizeBasics(t *testing.T) {
 	events := []trace.Event{
 		ev(0, 1, trace.OpOpen, 5, 0, 0),
@@ -26,7 +34,7 @@ func TestCanonicalizeBasics(t *testing.T) {
 		ev(6, 1, trace.OpClose, 5, 0, 0),
 		ev(7, 1, trace.OpDelete, 5, 0, 0),
 	}
-	ops, st, err := CanonicalizeAll(events)
+	ops, st, err := canonicalize(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +69,7 @@ func TestCanonicalizeBasics(t *testing.T) {
 
 func TestCanonicalizeDeleteOfUnknownFileIsSilent(t *testing.T) {
 	// Deleting a file with no known extent produces no DeleteRange op.
-	ops, _, err := CanonicalizeAll([]trace.Event{ev(0, 1, trace.OpDelete, 9, 0, 0)})
+	ops, _, err := canonicalize([]trace.Event{ev(0, 1, trace.OpDelete, 9, 0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +85,7 @@ func TestCanonicalizeReadEstablishesSize(t *testing.T) {
 		ev(0, 1, trace.OpRead, 3, 0, 4096),
 		ev(1, 1, trace.OpDelete, 3, 0, 0),
 	}
-	ops, st, err := CanonicalizeAll(events)
+	ops, st, err := canonicalize(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +103,7 @@ func TestCanonicalizeGrowingTruncateDeletesNothing(t *testing.T) {
 		{Time: 1, Client: 1, Op: trace.OpTruncate, File: 3, Offset: 500},
 		ev(2, 1, trace.OpDelete, 3, 0, 0),
 	}
-	ops, _, err := CanonicalizeAll(events)
+	ops, _, err := canonicalize(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +120,7 @@ func TestCanonicalizeMigrate(t *testing.T) {
 	events := []trace.Event{
 		{Time: 5, Client: 7, Op: trace.OpMigrate, Target: 9},
 	}
-	ops, st, err := CanonicalizeAll(events)
+	ops, st, err := canonicalize(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,21 +137,20 @@ func TestCanonicalizeRejectsOutOfOrder(t *testing.T) {
 		ev(10, 1, trace.OpWrite, 3, 0, 100),
 		ev(5, 1, trace.OpWrite, 3, 0, 100),
 	}
-	if _, _, err := CanonicalizeAll(events); err == nil {
+	if _, _, err := canonicalize(events); err == nil {
 		t.Fatal("out-of-order events accepted")
 	}
 }
 
 func TestCanonicalizeGeneratedTrace(t *testing.T) {
-	evs, err := workload.GenerateEvents(workload.StandardProfile(1, 0.05))
+	cur := workload.NewCursor(workload.StandardProfile(1, 0.05))
+	c := NewSource(cur, Options{})
+	ops, err := Collect(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops, st, err := CanonicalizeAll(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Events != int64(len(evs)) || int(st.Ops) != len(ops) {
+	st := c.Stats()
+	if st.Events != cur.Count() || int(st.Ops) != len(ops) {
 		t.Fatalf("stats mismatch: %+v", st)
 	}
 	if st.BytesWritten == 0 || st.BytesRead == 0 || st.BytesDeleted == 0 {

@@ -24,7 +24,7 @@ func TestRecordingMatchesCanonicalizer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := workload.GenerateToWriter(p, w); err != nil {
+		if _, err := workload.Generate(p, w.Write); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

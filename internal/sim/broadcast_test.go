@@ -121,7 +121,7 @@ func TestBroadcastMatchesIndependentRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runBroadcast(t, ops, tc.cfgs)
 			for i, cfg := range tc.cfgs {
-				want, err := RunOps(ops, cfg)
+				want, err := Run(prep.NewSliceSource(ops), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func TestBroadcastMatchesHybridModel(t *testing.T) {
 		}
 		got := runBroadcast(t, ops, cfgs)
 		for i, cfg := range cfgs {
-			want, err := RunOps(ops, cfg)
+			want, err := Run(prep.NewSliceSource(ops), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

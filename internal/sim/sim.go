@@ -80,11 +80,6 @@ func Run(src prep.Source, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// RunOps simulates a materialized op slice (tests and small tools).
-func RunOps(ops []prep.Op, cfg Config) (*Result, error) {
-	return Run(prep.NewSliceSource(ops), cfg)
-}
-
 // Stepper runs a simulation one trace operation at a time. Run drives it
 // straight through; the crash-injection harness (internal/crash) instead
 // halts it at an arbitrary event boundary and inspects the mid-run cache

@@ -23,12 +23,12 @@ func TestFaultStageTransparentAtZeroFaults(t *testing.T) {
 			Cache: cache.Config{VolatileBlocks: 512, NVRAMBlocks: 256},
 			Seed:  1,
 		}
-		base, err := RunOps(ops, cfg)
+		base, err := Run(prep.NewSliceSource(ops), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Faults = &faults.Profile{Seed: 1}
-		faulty, err := RunOps(ops, cfg)
+		faulty, err := Run(prep.NewSliceSource(ops), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func outageProfile(shed bool) *faults.Profile {
 // bytes in NVRAM and drain them on recovery with zero loss.
 func TestFaultOutageDegradationByOrganization(t *testing.T) {
 	run := func(kind cache.ModelKind, shed bool) *Result {
-		res, err := RunOps(outageOps(), Config{
+		res, err := Run(prep.NewSliceSource(outageOps()), Config{
 			Model:  kind,
 			Cache:  cache.Config{VolatileBlocks: 64, NVRAMBlocks: 64},
 			Seed:   1,
@@ -126,7 +126,7 @@ func TestFaultOutageDegradationByOrganization(t *testing.T) {
 // and checks the server-side idempotent re-delivery accounting.
 func TestFaultReplayDetectionOnLossyTrace(t *testing.T) {
 	ops := traceOps(t, 4, 0.02)
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model: cache.ModelVolatile,
 		Cache: cache.Config{VolatileBlocks: 512},
 		Faults: &faults.Profile{

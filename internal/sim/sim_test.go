@@ -20,11 +20,7 @@ func openOp(t int64, c uint32, f uint64, w bool) prep.Op {
 
 func traceOps(t *testing.T, idx int, scale float64) []prep.Op {
 	t.Helper()
-	evs, err := workload.GenerateEvents(workload.StandardProfile(idx, scale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, _, err := prep.CanonicalizeAll(evs)
+	ops, err := prep.Collect(prep.NewSource(workload.NewCursor(workload.StandardProfile(idx, scale)), prep.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +34,7 @@ func TestRunVolatileBasics(t *testing.T) {
 		prep.Op{Time: 2, Client: 1, Kind: prep.Fsync, File: 5},
 		prep.Op{Time: 3, Client: 1, Kind: prep.Close, File: 5},
 	}
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model: cache.ModelVolatile,
 		Cache: cache.Config{VolatileBlocks: 64},
 	})
@@ -62,7 +58,7 @@ func TestRunCallbackBetweenClients(t *testing.T) {
 		openOp(10, 2, 5, false),
 		wop(11, 2, prep.Read, 5, 0, 4096),
 	}
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model: cache.ModelUnified,
 		Cache: cache.Config{VolatileBlocks: 64, NVRAMBlocks: 64},
 	})
@@ -85,7 +81,7 @@ func TestRunConcurrentSharing(t *testing.T) {
 		wop(3, 2, prep.Write, 5, 0, 1000),
 		wop(4, 1, prep.Read, 5, 0, 1000),
 	}
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model: cache.ModelVolatile,
 		Cache: cache.Config{VolatileBlocks: 64},
 	})
@@ -109,7 +105,7 @@ func TestRunEndOfTraceFlush(t *testing.T) {
 		openOp(0, 1, 5, true),
 		wop(1, 1, prep.Write, 5, 0, 4096),
 	}
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model: cache.ModelUnified,
 		Cache: cache.Config{VolatileBlocks: 64, NVRAMBlocks: 64},
 	})
@@ -131,7 +127,7 @@ func TestInfiniteNVRAMMatchesLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model: cache.ModelUnified,
 		Cache: cache.Config{VolatileBlocks: 1 << 20, NVRAMBlocks: 1 << 20},
 	})
@@ -158,7 +154,7 @@ func TestInfiniteNVRAMMatchesLifetime(t *testing.T) {
 func TestSmallerNVRAMMoreTraffic(t *testing.T) {
 	ops := traceOps(t, 2, 0.02)
 	frac := func(nvBlocks int) float64 {
-		res, err := RunOps(ops, Config{
+		res, err := Run(prep.NewSliceSource(ops), Config{
 			Model: cache.ModelUnified,
 			Cache: cache.Config{VolatileBlocks: 2048, NVRAMBlocks: nvBlocks},
 		})
@@ -182,7 +178,7 @@ func TestOmniscientBeatsLRUAndRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(pol cache.PolicyKind, sc cache.Schedule) float64 {
-		res, err := RunOps(ops, Config{
+		res, err := Run(prep.NewSliceSource(ops), Config{
 			Model:      cache.ModelUnified,
 			Cache:      cache.Config{VolatileBlocks: 2048, NVRAMBlocks: 32, Policy: pol, Schedule: sc},
 			Seed:       1,
@@ -207,7 +203,7 @@ func TestWritesOnlySkipsReads(t *testing.T) {
 		wop(1, 1, prep.Write, 5, 0, 4096),
 		wop(2, 1, prep.Read, 5, 0, 4096),
 	}
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model:      cache.ModelVolatile,
 		Cache:      cache.Config{VolatileBlocks: 4},
 		WritesOnly: true,
@@ -234,7 +230,7 @@ func TestBlocksForBytes(t *testing.T) {
 
 func TestPerClientTrafficSumsToTotal(t *testing.T) {
 	ops := traceOps(t, 6, 0.02)
-	res, err := RunOps(ops, Config{
+	res, err := Run(prep.NewSliceSource(ops), Config{
 		Model: cache.ModelVolatile,
 		Cache: cache.Config{VolatileBlocks: 1024},
 	})

@@ -203,21 +203,6 @@ func Generate(p Profile, emit func(trace.Event) error) (int64, error) {
 	}
 }
 
-// GenerateToWriter synthesizes the trace into a trace.Writer.
-func GenerateToWriter(p Profile, w *trace.Writer) (int64, error) {
-	return Generate(p, w.Write)
-}
-
-// GenerateEvents synthesizes the trace into memory.
-func GenerateEvents(p Profile) ([]trace.Event, error) {
-	var evs []trace.Event
-	_, err := Generate(p, func(e trace.Event) error {
-		evs = append(evs, e)
-		return nil
-	})
-	return evs, err
-}
-
 // generator carries shared state for one trace synthesis run.
 type generator struct {
 	pending eventHeap

@@ -10,13 +10,26 @@ import (
 	"nvramfs/internal/trace"
 )
 
+// generateEvents synthesizes p's trace into memory.
+func generateEvents(p Profile) ([]trace.Event, error) {
+	var evs []trace.Event
+	c := NewCursor(p)
+	for {
+		e, ok, err := c.Next()
+		if err != nil || !ok {
+			return evs, err
+		}
+		evs = append(evs, e)
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	p := StandardProfile(1, 0.05)
-	a, err := GenerateEvents(p)
+	a, err := generateEvents(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateEvents(p)
+	b, err := generateEvents(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +49,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateSortedAndValid(t *testing.T) {
 	for i := 1; i <= NumStandardTraces; i++ {
 		p := StandardProfile(i, 0.02)
-		evs, err := GenerateEvents(p)
+		evs, err := generateEvents(p)
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
@@ -64,7 +77,7 @@ func TestGenerateWritesToTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := GenerateToWriter(p, w)
+	n, err := Generate(p, w.Write)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +117,7 @@ func TestHeavyTracesIncludeSimActors(t *testing.T) {
 
 func TestHeavyTracesWriteMore(t *testing.T) {
 	writes := func(i int) int64 {
-		evs, err := GenerateEvents(StandardProfile(i, 0.05))
+		evs, err := generateEvents(StandardProfile(i, 0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +137,7 @@ func TestHeavyTracesWriteMore(t *testing.T) {
 }
 
 func TestEventMixIncludesAllKinds(t *testing.T) {
-	evs, err := GenerateEvents(StandardProfile(1, 0.05))
+	evs, err := generateEvents(StandardProfile(1, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +157,7 @@ func TestEventMixIncludesAllKinds(t *testing.T) {
 
 func TestScaleControlsVolume(t *testing.T) {
 	vol := func(scale float64) int64 {
-		evs, err := GenerateEvents(StandardProfile(5, scale))
+		evs, err := generateEvents(StandardProfile(5, scale))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +225,7 @@ func BenchmarkGenerateTypicalTrace(b *testing.B) {
 	p := StandardProfile(1, 0.1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := GenerateEvents(p); err != nil {
+		if _, err := generateEvents(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,7 +249,7 @@ func TestParseProfileJSON(t *testing.T) {
 	if p.Name != "mycluster" || len(p.Actors) != 4 || p.Clients != 6 {
 		t.Fatalf("profile: %+v", p)
 	}
-	evs, err := GenerateEvents(p)
+	evs, err := generateEvents(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +295,11 @@ func TestProfileSpecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 	// Clients may be recomputed but must cover every actor.
-	evsA, err := GenerateEvents(p)
+	evsA, err := generateEvents(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evsB, err := GenerateEvents(back)
+	evsB, err := generateEvents(back)
 	if err != nil {
 		t.Fatal(err)
 	}
