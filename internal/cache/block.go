@@ -131,6 +131,18 @@ func (a *BlockArena) Len() int {
 	return len(a.free)
 }
 
+// clone returns a copy of b with its own byte sets and no pool links; the
+// forking pool and policy link the copy. polIdx is kept: a forked policy
+// keeps each block in the same slot.
+func (b *Block) clone() *Block {
+	c := *b
+	c.Valid = *b.Valid.Clone()
+	c.Dirty = *b.Dirty.Clone()
+	c.lruPrev, c.lruNext = nil, nil
+	c.filePrev, c.fileNext = nil, nil
+	return &c
+}
+
 // IsDirty reports whether the block holds any unwritten-back bytes.
 func (b *Block) IsDirty() bool { return b.Dirty.Len() > 0 }
 

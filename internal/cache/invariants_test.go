@@ -50,51 +50,82 @@ func checkConservation(t *testing.T, m Model) {
 	}
 }
 
+// mixOp is one operation of a seeded random op mix over three files of 24
+// 256-byte blocks.
+type mixOp struct {
+	kind int // 0-3 write, 4-6 read, 7-8 delete, 9 fsync, 10 file flush, 11 last slot
+	now  int64
+	file uint64
+	r    interval.Range
+	size int64 // the file's size, for reads
+}
+
+// mixBlockSize is the block size the mixes are drawn for.
+const mixBlockSize = 256
+
+// randomMix returns n ops of the seeded mix the invariant and fork tests
+// drive.
+func randomMix(seed int64, n int) []mixOp {
+	rng := rand.New(rand.NewSource(seed))
+	sizes := map[uint64]int64{}
+	var now int64
+	const space = 24 * mixBlockSize
+	ops := make([]mixOp, n)
+	for i := range ops {
+		now += 1 + rng.Int63n(5e6)
+		file := uint64(1 + rng.Intn(3))
+		a := rng.Int63n(space)
+		op := mixOp{now: now, file: file, r: interval.Range{Start: a, End: a + 1 + rng.Int63n(512)}}
+		op.kind = rng.Intn(12)
+		if op.kind <= 6 && op.r.End > sizes[file] {
+			sizes[file] = op.r.End
+		}
+		op.size = sizes[file]
+		ops[i] = op
+	}
+	return ops
+}
+
+// apply applies the op to m. The last slot invalidates the file, or with
+// advance set runs the cleaner instead.
+func (op mixOp) apply(m Model, advance bool) {
+	switch op.kind {
+	case 0, 1, 2, 3:
+		m.Write(op.now, op.file, op.r)
+	case 4, 5, 6:
+		m.Read(op.now, op.file, op.r, op.size)
+	case 7, 8:
+		m.DeleteRange(op.now, op.file, op.r)
+	case 9:
+		m.Fsync(op.now, op.file)
+	case 10:
+		m.FlushFile(op.now, op.file, CauseCallback)
+	case 11:
+		if advance {
+			m.Advance(op.now)
+		} else {
+			m.Invalidate(op.now, op.file)
+		}
+	}
+}
+
 // TestUnifiedRandomInvariants drives the unified model with a random
 // operation mix, checking the structural invariants and the byte
 // conservation law after every operation.
 func TestUnifiedRandomInvariants(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		m := mustModel(t, ModelUnified, Config{
-			BlockSize:      256,
+			BlockSize:      mixBlockSize,
 			VolatileBlocks: 6,
 			NVRAMBlocks:    4,
 		}).(*unifiedModel)
-		sizes := map[uint64]int64{}
-		var now int64
-		const space = 24 * 256
-		for op := 0; op < 3000; op++ {
-			now += 1 + rng.Int63n(5e6)
-			file := uint64(1 + rng.Intn(3))
-			a := rng.Int63n(space)
-			r := interval.Range{Start: a, End: a + 1 + rng.Int63n(512)}
-			switch rng.Intn(12) {
-			case 0, 1, 2, 3:
-				if r.End > sizes[file] {
-					sizes[file] = r.End
-				}
-				m.Write(now, file, r)
-			case 4, 5, 6:
-				size := sizes[file]
-				if r.End > size {
-					sizes[file] = r.End
-					size = r.End
-				}
-				m.Read(now, file, r, size)
-			case 7, 8:
-				m.DeleteRange(now, file, r)
-			case 9:
-				m.Fsync(now, file) // no-op in unified
-			case 10:
-				m.FlushFile(now, file, CauseCallback)
-			case 11:
-				m.Invalidate(now, file)
-			}
+		ops := randomMix(seed, 3000)
+		for _, op := range ops {
+			op.apply(m, false)
 			checkUnifiedInvariants(t, m)
 			checkConservation(t, m)
 		}
-		m.FlushAll(now, CauseEnd)
+		m.FlushAll(ops[len(ops)-1].now, CauseEnd)
 		checkConservation(t, m)
 		if m.DirtyBytes() != 0 {
 			t.Fatal("dirty bytes after FlushAll")
@@ -107,42 +138,13 @@ func TestUnifiedRandomInvariants(t *testing.T) {
 // and conservation holds.
 func TestWriteAsideRandomInvariants(t *testing.T) {
 	for seed := int64(10); seed < 13; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		m := mustModel(t, ModelWriteAside, Config{
-			BlockSize:      256,
+			BlockSize:      mixBlockSize,
 			VolatileBlocks: 8,
 			NVRAMBlocks:    4,
 		}).(*writeAsideModel)
-		sizes := map[uint64]int64{}
-		var now int64
-		const space = 24 * 256
-		for op := 0; op < 3000; op++ {
-			now += 1 + rng.Int63n(5e6)
-			file := uint64(1 + rng.Intn(3))
-			a := rng.Int63n(space)
-			r := interval.Range{Start: a, End: a + 1 + rng.Int63n(512)}
-			switch rng.Intn(12) {
-			case 0, 1, 2, 3:
-				if r.End > sizes[file] {
-					sizes[file] = r.End
-				}
-				m.Write(now, file, r)
-			case 4, 5, 6:
-				size := sizes[file]
-				if r.End > size {
-					sizes[file] = r.End
-					size = r.End
-				}
-				m.Read(now, file, r, size)
-			case 7, 8:
-				m.DeleteRange(now, file, r)
-			case 9:
-				m.Fsync(now, file)
-			case 10:
-				m.FlushFile(now, file, CauseCallback)
-			case 11:
-				m.Invalidate(now, file)
-			}
+		for op, o := range randomMix(seed, 3000) {
+			o.apply(m, false)
 			if m.vol.Len() > m.vol.Capacity() || m.nv.Len() > m.nv.Capacity() {
 				t.Fatalf("seed %d op %d: pool over capacity", seed, op)
 			}
@@ -162,42 +164,13 @@ func TestWriteAsideRandomInvariants(t *testing.T) {
 // TestHybridRandomInvariants: conservation plus capacity bounds for the
 // hybrid extension, whose dirty data may live in either memory.
 func TestHybridRandomInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
 	m := mustModel(t, ModelHybrid, Config{
-		BlockSize:      256,
+		BlockSize:      mixBlockSize,
 		VolatileBlocks: 6,
 		NVRAMBlocks:    3,
 	}).(*hybridModel)
-	sizes := map[uint64]int64{}
-	var now int64
-	const space = 24 * 256
-	for op := 0; op < 3000; op++ {
-		now += 1 + rng.Int63n(5e6)
-		file := uint64(1 + rng.Intn(3))
-		a := rng.Int63n(space)
-		r := interval.Range{Start: a, End: a + 1 + rng.Int63n(512)}
-		switch rng.Intn(12) {
-		case 0, 1, 2, 3:
-			if r.End > sizes[file] {
-				sizes[file] = r.End
-			}
-			m.Write(now, file, r)
-		case 4, 5, 6:
-			size := sizes[file]
-			if r.End > size {
-				sizes[file] = r.End
-				size = r.End
-			}
-			m.Read(now, file, r, size)
-		case 7, 8:
-			m.DeleteRange(now, file, r)
-		case 9:
-			m.Fsync(now, file)
-		case 10:
-			m.FlushFile(now, file, CauseCallback)
-		case 11:
-			m.Advance(now)
-		}
+	for op, o := range randomMix(21, 3000) {
+		o.apply(m, true)
 		if m.vol.Len() > m.vol.Capacity() || m.nv.Len() > m.nv.Capacity() {
 			t.Fatalf("op %d: pool over capacity", op)
 		}
@@ -207,5 +180,34 @@ func TestHybridRandomInvariants(t *testing.T) {
 			}
 		}
 		checkConservation(t, m)
+	}
+}
+
+// TestVolatileRandomInvariants puts the volatile model under the same
+// per-op checks: capacity, dirty bytes valid, FirstDirty set exactly on
+// dirty blocks and no later than their oldest dirty byte, and byte
+// conservation, with the cleaner run in the last slot.
+func TestVolatileRandomInvariants(t *testing.T) {
+	for seed := int64(30); seed < 33; seed++ {
+		m := mustModel(t, ModelVolatile, Config{BlockSize: mixBlockSize, VolatileBlocks: 8}).(*volatileModel)
+		for op, o := range randomMix(seed, 3000) {
+			o.apply(m, true)
+			if m.pool.Len() > m.pool.Capacity() {
+				t.Fatalf("seed %d op %d: pool over capacity", seed, op)
+			}
+			for _, b := range m.pool.Blocks() {
+				for _, g := range b.Dirty.Segs() {
+					if !b.Valid.ContainsRange(g.Range()) {
+						t.Fatalf("seed %d op %d: block %v: dirty bytes %v not valid", seed, op, b.ID, g)
+					}
+				}
+				tag, dirty := b.Dirty.MinTag()
+				if dirty != (b.FirstDirty != -1) || dirty && b.FirstDirty > tag {
+					t.Fatalf("seed %d op %d: block %v: FirstDirty %d, oldest dirty byte %d (dirty %v)",
+						seed, op, b.ID, b.FirstDirty, tag, dirty)
+				}
+			}
+			checkConservation(t, m)
+		}
 	}
 }

@@ -15,9 +15,12 @@ import (
 // old map-then-sort FileBlocks path.
 type Pool struct {
 	capacity int // in blocks; 0 means the pool holds nothing
-	policy   Policy
-	blocks   blockIndex
-	files    fileIndex
+	// shared marks a pool whose model also stands for cells of larger
+	// capacity (sim.Broadcast's capacity classes): it must never fill.
+	shared bool
+	policy Policy
+	blocks blockIndex
+	files  fileIndex
 
 	fileScratch []uint64 // reused by ForEachBlock for file ordering
 }
@@ -33,11 +36,35 @@ func NewPool(capBlocks int, p Policy) *Pool {
 // Capacity returns the pool's capacity in blocks.
 func (p *Pool) Capacity() int { return p.capacity }
 
+// Shared reports whether the pool stands for several capacities (see
+// SetCapacity).
+func (p *Pool) Shared() bool { return p.shared }
+
+// SetCapacity resizes the pool to capBlocks, which must hold its current
+// blocks. shared marks a pool whose model stands for several cells of
+// which this is the smallest capacity: the cells agree only while the
+// pool is not full, so the caller must split them off before it can
+// fill, and Full panics if it does.
+func (p *Pool) SetCapacity(capBlocks int, shared bool) {
+	if p.blocks.n > capBlocks {
+		panic(fmt.Sprintf("cache: SetCapacity(%d) below the %d cached blocks", capBlocks, p.blocks.n))
+	}
+	p.capacity, p.shared = capBlocks, shared
+}
+
 // Len returns the number of cached blocks.
 func (p *Pool) Len() int { return p.blocks.n }
 
 // Full reports whether inserting another block requires an eviction.
-func (p *Pool) Full() bool { return p.blocks.n >= p.capacity }
+func (p *Pool) Full() bool {
+	if p.blocks.n < p.capacity {
+		return false
+	}
+	if p.shared {
+		panic("cache: a pool shared by several capacities filled")
+	}
+	return true
+}
 
 // Get returns the cached block, or nil.
 func (p *Pool) Get(id BlockID) *Block { return p.blocks.get(id) }
@@ -235,4 +262,40 @@ func (p *Pool) Drain(arena *BlockArena) {
 	clear(p.blocks.slots)
 	p.blocks.n = 0
 	p.blocks.last = nil
+}
+
+// fork returns a deep copy of the pool holding capBlocks blocks: each
+// block is cloned into the same index slot, and the copies keep the
+// original's per-file chains and replacement order.
+func (p *Pool) fork(capBlocks int) *Pool {
+	q := &Pool{}
+	q.blocks.slots = make([]*Block, len(p.blocks.slots))
+	q.blocks.n = p.blocks.n
+	for i, b := range p.blocks.slots {
+		if b != nil {
+			q.blocks.slots[i] = b.clone()
+		}
+	}
+	q.files.slots = make([]fileSlot, len(p.files.slots))
+	q.files.n = p.files.n
+	for i, s := range p.files.slots {
+		if s.head == nil {
+			continue
+		}
+		c := &q.files.slots[i]
+		c.file = s.file
+		for b := s.head; b != nil; b = b.fileNext {
+			nb := q.blocks.get(b.ID)
+			nb.filePrev = c.tail
+			if c.tail != nil {
+				c.tail.fileNext = nb
+			} else {
+				c.head = nb
+			}
+			c.tail = nb
+		}
+	}
+	q.policy = p.policy.fork(func(b *Block) *Block { return q.blocks.get(b.ID) })
+	q.SetCapacity(capBlocks, false)
+	return q
 }

@@ -445,7 +445,8 @@ func (ws *Workspace) cellTraffic(ctx context.Context, keys []cellKey) ([]cache.T
 		for j, k := range g {
 			cfgs[j] = k.config(sched)
 		}
-		return ws.lockstep(ctx, g[0].trace, cfgs)
+		res, _, err := ws.lockstep(ctx, g[0].trace, cfgs)
+		return res, err
 	})
 	if err != nil {
 		return nil, err

@@ -23,6 +23,7 @@ import (
 	"nvramfs/internal/lifetime"
 	"nvramfs/internal/prep"
 	"nvramfs/internal/serverload"
+	"nvramfs/internal/sim"
 	"nvramfs/internal/workload"
 )
 
@@ -365,5 +366,44 @@ func TestDriverCancellation(t *testing.T) {
 	}
 	if n := s.Workspace.Engine().Metrics().JobsStarted; n != 0 {
 		t.Errorf("cancelled entries started %d engine jobs", n)
+	}
+}
+
+// TestLockstepSharesModelCalls pins the capacity classes' saving where the
+// sweeps spend it: Figure 3's trace-7 row and Figure 4's LRU row, each one
+// lockstep replay of ten NVRAM sizes, must make at most the stated share
+// of the model calls that simulating each cell on its own would make. A
+// change that splits every class early fails here by name.
+func TestLockstepSharesModelCalls(t *testing.T) {
+	ctx := context.Background()
+	ws := NewWorkspace(0.02)
+	sched, err := ws.ScheduleContext(ctx, ModelTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name  string
+		keys  []cellKey
+		sched cache.Schedule
+		share float64 // most calls made per per-cell call
+	}{
+		// Measured 0.193 (34 413 of 178 660) and 0.192 (128 147 of 668 190).
+		{"fig3-trace7", sweepKeys(ModelTrace, cache.Omniscient, true), sched, 0.25},
+		{"fig4-lru", sweepKeys(ModelTrace, cache.LRU, false), nil, 0.25},
+	}
+	for _, row := range rows {
+		cfgs := make([]sim.Config, len(row.keys))
+		for i, k := range row.keys {
+			cfgs[i] = k.config(row.sched)
+		}
+		_, calls, err := ws.lockstep(ctx, ModelTrace, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := float64(calls.Made) / float64(calls.PerCell)
+		t.Logf("%s: %d model calls for %d per-cell calls (%.3f)", row.name, calls.Made, calls.PerCell, share)
+		if share > row.share {
+			t.Errorf("%s: %.3f of the per-cell model calls, want at most %.2f", row.name, share, row.share)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package report
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,17 +63,17 @@ func (ws *Workspace) simCell(ctx context.Context, tr int, src prep.Source, cfg s
 }
 
 // lockstep simulates every configuration over one replay of the trace's
-// recording: sim.Broadcast feeds each op to one stepper per configuration and
-// runs the op stream's cache-independent work (consistency protocol, size
-// tracking) once for the lot. Each stepper's state is exactly what a
-// standalone sim.Run of its configuration would reach, so the results are
-// those of simulating the cells one by one, for one replay and one
-// protocol pass. The configurations must be Broadcast-compatible; the
-// helper attaches a pooled block arena and the trace's file-count hint.
-func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([]*sim.Result, error) {
+// recording: sim.Broadcast runs the op stream's cache-independent work
+// (consistency protocol, size tracking) once for the lot, and each
+// client's cache once per capacity class. Each configuration's result is
+// exactly what a standalone sim.Run of it would produce, for one replay
+// and one protocol pass. The configurations must be Broadcast-compatible;
+// the helper attaches a pooled block arena and the trace's file-count
+// hint, and also returns the model calls the replay made.
+func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([]*sim.Result, sim.Calls, error) {
 	src, err := ws.OpsSourceContext(ctx, tr)
 	if err != nil {
-		return nil, err
+		return nil, sim.Calls{}, err
 	}
 	var filesHint int
 	if st, err := ws.TraceStatsContext(ctx, tr); err == nil {
@@ -80,35 +81,30 @@ func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([
 	}
 	arena := getArena()
 	defer putArena(arena)
-	steppers := make([]*sim.Stepper, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Cache.Arena = arena
-		// Only stepper 0's server and size table survive NewBroadcast's
-		// yoking; don't pre-size the ones about to be discarded.
-		if i == 0 {
-			cfg.FilesHint = filesHint
-		}
-		steppers[i] = sim.NewStepper(nil, cfg)
+	cfgs = slices.Clone(cfgs)
+	for i := range cfgs {
+		cfgs[i].Cache.Arena = arena
+		cfgs[i].FilesHint = filesHint
 	}
-	bc, err := sim.NewBroadcast(steppers)
+	bc, err := sim.NewBroadcast(cfgs)
 	if err != nil {
-		return nil, err
+		return nil, sim.Calls{}, err
 	}
 	// A writes-only set ignores reads entirely (Broadcast drops them
-	// before any cache or size-tracking effect), so skip the per-stepper
-	// dispatch. Traffic is unchanged: the only effect of feeding the read
-	// would be instantiating the reading client's empty cache model.
+	// before any cache or size-tracking effect), so skip the dispatch.
+	// Traffic is unchanged: the only effect of feeding the read would be
+	// instantiating the reading client's empty cache model.
 	skipReads := cfgs[0].WritesOnly
 	const checkEvery = 4096
 	for n := 0; ; n++ {
 		if n%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, sim.Calls{}, err
 			}
 		}
 		op, ok, err := src.Next()
 		if err != nil {
-			return nil, err
+			return nil, sim.Calls{}, err
 		}
 		if !ok {
 			break
@@ -117,15 +113,11 @@ func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([
 			continue
 		}
 		if err := bc.Apply(op); err != nil {
-			return nil, err
+			return nil, sim.Calls{}, err
 		}
 	}
-	results := make([]*sim.Result, len(steppers))
-	for i, s := range steppers {
-		results[i] = s.Finish()
-		s.Release()
-	}
-	return results, nil
+	res := bc.Finish()
+	return res, bc.Calls(), nil
 }
 
 // Workspace generates each standard trace once, recording its canonical
