@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -24,7 +23,7 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 		pol  Policy
 	}{
 		{"lru", newLRUPolicy()},
-		{"random", &randomPolicy{rng: rand.New(rand.NewSource(1))}},
+		{"random", newRandomPolicy(1)},
 		{"omniscient", &omniscientPolicy{sched: flatSchedule{}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

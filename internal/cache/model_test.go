@@ -1,18 +1,15 @@
 package cache
 
 import (
-	"math/rand"
 	"testing"
 
 	"nvramfs/internal/interval"
 )
 
-func rng() *rand.Rand { return rand.New(rand.NewSource(42)) }
-
 func mustModel(t *testing.T, kind ModelKind, cfg Config) Model {
 	t.Helper()
-	if cfg.Rand == nil {
-		cfg.Rand = rng()
+	if cfg.Seed == 0 {
+		cfg.Seed = 42
 	}
 	m, err := NewModel(kind, cfg)
 	if err != nil {

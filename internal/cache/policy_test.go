@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -62,7 +61,7 @@ func TestLRUPolicyEmptyVictim(t *testing.T) {
 }
 
 func TestRandomPolicy(t *testing.T) {
-	p, err := NewPolicy(Random, rand.New(rand.NewSource(1)), nil)
+	p, err := newPolicy(Config{Policy: Random, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestOmniscientPolicyPicksFurthest(t *testing.T) {
 		bid(1, 1): {500},
 		bid(1, 2): {200},
 	}
-	p, err := NewPolicy(Omniscient, nil, sched)
+	p, err := newPolicy(Config{Policy: Omniscient, Schedule: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestOmniscientPolicyRekeysOnModify(t *testing.T) {
 		bid(1, 0): {100, 1000},
 		bid(1, 1): {500},
 	}
-	p, _ := NewPolicy(Omniscient, nil, sched)
+	p, _ := newPolicy(Config{Policy: Omniscient, Schedule: sched})
 	s := blockSet{}
 	p.Insert(s.get(bid(1, 0)), 0) // next modify 100
 	p.Insert(s.get(bid(1, 1)), 0) // next modify 500
@@ -156,7 +155,7 @@ func TestOmniscientPolicyRemove(t *testing.T) {
 		bid(1, 2): {200},
 		bid(1, 3): {400},
 	}
-	p, _ := NewPolicy(Omniscient, nil, sched)
+	p, _ := newPolicy(Config{Policy: Omniscient, Schedule: sched})
 	s := blockSet{}
 	for i := int64(0); i < 4; i++ {
 		p.Insert(s.get(bid(1, i)), 0)
@@ -177,13 +176,10 @@ func TestOmniscientPolicyRemove(t *testing.T) {
 }
 
 func TestNewPolicyValidation(t *testing.T) {
-	if _, err := NewPolicy(Random, nil, nil); err == nil {
-		t.Fatal("random policy without rng accepted")
-	}
-	if _, err := NewPolicy(Omniscient, nil, nil); err == nil {
+	if _, err := newPolicy(Config{Policy: Omniscient}); err == nil {
 		t.Fatal("omniscient policy without schedule accepted")
 	}
-	if _, err := NewPolicy(PolicyKind(9), nil, nil); err == nil {
+	if _, err := newPolicy(Config{Policy: PolicyKind(9)}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
