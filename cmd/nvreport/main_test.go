@@ -39,14 +39,15 @@ const goldenFile = "testdata/golden.sha256"
 
 // goldenExps is every experiment that finishes in seconds at the scale
 // below: all of Section 2 and 3, the shared results (fig6 feeds cost, one
-// server study feeds table3, table4 and buffer) and every CSV writer but
-// the slow extensions'.
-const goldenExps = "table1,fig2,table2,fig3,fig4,fig5,fig6,bus,cost,table3,table4,buffer,sort,servercache,fsynclat,readlat,stack,ablate"
+// server study feeds table3, table4 and buffer), every CSV writer but the
+// slow extensions', and the crash and fault-profile grids (reliability,
+// degraded) that drive sim.Stepper rather than the lockstep sweeps.
+const goldenExps = "table1,fig2,table2,fig3,fig4,fig5,fig6,bus,cost,table3,table4,buffer,sort,servercache,fsynclat,readlat,stack,ablate,reliability,degraded"
 
 // goldenJobs is the engine job count of the run: the shared results are
 // computed once, and the workspace's cell memo simulates no grid cell
 // twice.
-const goldenJobs = 96
+const goldenJobs = 576
 
 // TestGoldenOutput runs nvreport on goldenExps with -plot and -csv and
 // compares the sha256 of its stdout and of each CSV file with the
