@@ -100,6 +100,25 @@ func TestFlushedClearsRecall(t *testing.T) {
 	}
 }
 
+// TestRecallClearsLastWriter: the open that reports a recall clears the
+// recall obligation itself, so a Flushed(RecallFrom, f) after the recall
+// flush would find nothing to clear (the simulator makes no such call).
+func TestRecallClearsLastWriter(t *testing.T) {
+	s := NewServer()
+	s.Open(1, 10, true)
+	s.Write(1, 10)
+	s.Close(1, 10)
+	if res := s.Open(2, 10, false); res.RecallFrom != 1 {
+		t.Fatalf("RecallFrom = %d, want 1", res.RecallFrom)
+	}
+	if w := s.LastWriter(10); w != NoClient {
+		t.Fatalf("LastWriter after the recalling open = %d, want NoClient", w)
+	}
+	if res := s.Open(3, 10, false); res.RecallFrom != NoClient {
+		t.Fatalf("second opener recalls again from %d", res.RecallFrom)
+	}
+}
+
 func TestFlushedByOtherClientIgnored(t *testing.T) {
 	s := NewServer()
 	s.Open(1, 10, true)

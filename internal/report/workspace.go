@@ -117,6 +117,7 @@ func (ws *Workspace) lockstep(ctx context.Context, tr int, cfgs []sim.Config) ([
 		}
 	}
 	res := bc.Finish()
+	bc.Release()
 	return res, bc.Calls(), nil
 }
 
