@@ -50,6 +50,22 @@ func checkConservation(t *testing.T, m Model) {
 	}
 }
 
+// checkCleanerEntries verifies that every dirty block of the pool has a
+// cleaner entry at its FirstDirty, so the delayed write-back takes it
+// WriteBackDelay after it was first dirtied.
+func checkCleanerEntries(t *testing.T, p *Pool, h cleanerHeap, seed int64, op int) {
+	t.Helper()
+	scheduled := make(map[cleanerEntry]bool, len(h))
+	for _, e := range h {
+		scheduled[e] = true
+	}
+	for _, b := range p.Blocks() {
+		if b.IsDirty() && !scheduled[cleanerEntry{at: b.FirstDirty, id: b.ID}] {
+			t.Fatalf("seed %d op %d: dirty block %v has no cleaner entry at its FirstDirty %d", seed, op, b.ID, b.FirstDirty)
+		}
+	}
+}
+
 // mixOp is one operation of a seeded random op mix over three files of 24
 // 256-byte blocks.
 type mixOp struct {
@@ -162,15 +178,18 @@ func TestWriteAsideRandomInvariants(t *testing.T) {
 }
 
 // TestHybridRandomInvariants: conservation plus capacity bounds for the
-// hybrid extension, whose dirty data may live in either memory.
+// hybrid extension, whose dirty data may live in either memory, and a
+// cleaner entry for every dirty volatile block.
 func TestHybridRandomInvariants(t *testing.T) {
+	const seed = 21
 	m := mustModel(t, ModelHybrid, Config{
 		BlockSize:      mixBlockSize,
 		VolatileBlocks: 6,
 		NVRAMBlocks:    3,
 	}).(*hybridModel)
-	for op, o := range randomMix(21, 3000) {
+	for op, o := range randomMix(seed, 3000) {
 		o.apply(m, true)
+		checkCleanerEntries(t, m.vol, m.cleaner, seed, op)
 		if m.vol.Len() > m.vol.Capacity() || m.nv.Len() > m.nv.Capacity() {
 			t.Fatalf("op %d: pool over capacity", op)
 		}
@@ -185,8 +204,9 @@ func TestHybridRandomInvariants(t *testing.T) {
 
 // TestVolatileRandomInvariants puts the volatile model under the same
 // per-op checks: capacity, dirty bytes valid, FirstDirty set exactly on
-// dirty blocks and no later than their oldest dirty byte, and byte
-// conservation, with the cleaner run in the last slot.
+// dirty blocks and no later than their oldest dirty byte, a cleaner entry
+// for every dirty block, and byte conservation, with the cleaner run in
+// the last slot.
 func TestVolatileRandomInvariants(t *testing.T) {
 	for seed := int64(30); seed < 33; seed++ {
 		m := mustModel(t, ModelVolatile, Config{BlockSize: mixBlockSize, VolatileBlocks: 8}).(*volatileModel)
@@ -207,6 +227,7 @@ func TestVolatileRandomInvariants(t *testing.T) {
 						seed, op, b.ID, b.FirstDirty, tag, dirty)
 				}
 			}
+			checkCleanerEntries(t, m.pool, m.cleaner, seed, op)
 			checkConservation(t, m)
 		}
 	}

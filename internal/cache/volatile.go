@@ -188,11 +188,10 @@ func (m *volatileModel) DeleteRange(now int64, file uint64, r interval.Range) {
 		if b.Valid.Len() == 0 {
 			m.pool.Remove(b.ID)
 			m.cfg.Arena.Put(b)
-			return
-		}
-		if tag, ok := b.Dirty.MinTag(); ok {
-			b.FirstDirty = tag
-		} else {
+		} else if !b.IsDirty() {
+			// A block that stays dirty keeps its FirstDirty, and with it
+			// its cleaner entry: the write-back falls due WriteBackDelay
+			// after the block was first dirtied, as in the hybrid model.
 			b.FirstDirty = -1
 		}
 	})
