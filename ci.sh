@@ -48,10 +48,12 @@ if [ "$(nproc)" -ge 2 ]; then
 	bash bench/run.sh --workload daemon_park --seed 1 --seconds 2 --trace 1
 fi
 
-# The bounded-memory gates (heap_test.go): peak live heap within 2x when a
-# trace grows 10x and when a fleet grows from 10k to 100k clients. They
+# The bounded-memory gate (heap_test.go): peak live heap within 2x when a
+# trace grows 10x. The one-worker run of nvreport's golden (the same
+# digests as at two and eight workers, which the suites above check). Both
 # skip under -short and under the race detector, so they run here by name.
 go test -count=1 -run 'HeapBound' .
+go test -count=1 -run 'TestGoldenOutput/j1' ./cmd/nvreport
 
 # The fuzz budget, outside the race pass: each fuzz target runs for a
 # fixed time (its seed corpus already ran in the suites above). A crasher

@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,32 +38,42 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from thi
 
 const goldenFile = "testdata/golden.sha256"
 
-// goldenExps is every experiment that finishes in seconds at the scale
-// below: all of Section 2 and 3, the shared results (fig6 feeds cost, one
-// server study feeds table3, table4 and buffer), every CSV writer but the
-// slow extensions', and the crash and fault-profile grids (reliability,
-// degraded) that drive sim.Stepper rather than the lockstep sweeps.
-const goldenExps = "table1,fig2,table2,fig3,fig4,fig5,fig6,bus,cost,table3,table4,buffer,sort,servercache,fsynclat,readlat,stack,ablate,reliability,degraded"
-
-// goldenJobs is the engine job count of the run: the shared results are
-// computed once, and the workspace's cell memo simulates no grid cell
-// twice.
+// goldenJobs is the engine job count of an -exp all run: the shared
+// results are computed once, and the workspace's cell memo simulates no
+// grid cell twice.
 const goldenJobs = 576
 
-// TestGoldenOutput runs nvreport on goldenExps with -plot and -csv and
-// compares the sha256 of its stdout and of each CSV file with the
-// checked-in digests (sha256sum's format, stdout named "-").
+// TestGoldenOutput runs every registry entry (-exp all) with -plot and
+// -csv at one, two and eight workers and compares the sha256 of its stdout
+// and of each CSV file with the checked-in digests (sha256sum's format,
+// stdout named "-"), the same digests at every worker count. -update
+// rewrites them from the two-worker run. The one-worker run is the
+// slowest; -short and the race detector skip it.
 func TestGoldenOutput(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
+			if workers == 1 && (testing.Short() || raceEnabled) {
+				t.Skip("the one-worker golden skips under -short and the race detector")
+			}
+			if *update && workers != 2 {
+				t.Skip("-update rewrites the digests from the two-worker run")
+			}
+			checkGolden(t, workers)
+		})
+	}
+}
+
+func checkGolden(t *testing.T, workers int) {
 	csvDir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-exp", goldenExps, "-scale", "0.02", "-server-days", "0.1",
-		"-j", "2", "-plot", "-csv", csvDir)
+	cmd := exec.Command(os.Args[0], "-exp", "all", "-scale", "0.02", "-server-days", "0.1",
+		"-j", strconv.Itoa(workers), "-plot", "-csv", csvDir)
 	cmd.Env = append(os.Environ(), asMainEnv+"=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("nvreport: %v\n%s", err, stderr.String())
 	}
-	if want := fmt.Sprintf("nvreport: %d jobs on 2 workers", goldenJobs); !strings.Contains(stderr.String(), want) {
+	if want := fmt.Sprintf("nvreport: %d jobs on %d workers", goldenJobs, workers); !strings.Contains(stderr.String(), want) {
 		t.Errorf("stderr does not contain %q:\n%s", want, stderr.String())
 	}
 

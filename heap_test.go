@@ -1,22 +1,19 @@
 package nvramfs_test
 
-// Bounded-memory gates. Each streams a workload twice, the second time
-// grown tenfold, and requires the peak live heap to stay within 2x: the
-// streaming pipeline holds O(cache size + live files), the fleet O(active
-// sessions + cache budget), and a stage that starts materializing the
-// trace or retaining per-client state fails by far more than that.
+// Bounded-memory gate. It streams a workload twice, the second time grown
+// tenfold, and requires the peak live heap to stay within 2x: the
+// streaming pipeline holds O(cache size + live files), and a stage that
+// starts materializing the trace or retaining per-client state fails by
+// far more than that.
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/metrics"
 	"testing"
 	"time"
 
 	"nvramfs/internal/cache"
-	"nvramfs/internal/fleet"
 	"nvramfs/internal/prep"
-	"nvramfs/internal/server"
 	"nvramfs/internal/sim"
 	"nvramfs/internal/trace"
 	"nvramfs/internal/workload"
@@ -139,35 +136,4 @@ func steadyProfile() workload.Profile {
 		Clients:  9,
 		Actors:   actors,
 	}
-}
-
-// TestFleetHeapBound streams 10k and then 100k clients through a 16-shard
-// fleet. MaxActive stays at its default for both, so growth can only be
-// per-client state that failed to retire.
-func TestFleetHeapBound(t *testing.T) {
-	checkHeapBound(t, "fleet 10k->100k clients", func(grown bool) (int64, uint64, error) {
-		clients := 10_000
-		if grown {
-			clients = 100_000
-		}
-		cur, err := workload.NewFleetCursor(workload.FleetProfile{
-			Name:     fmt.Sprintf("fleetheap-%d", clients),
-			Seed:     4092,
-			Duration: 24 * time.Hour,
-			Clients:  clients,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return peakLiveHeap(cur, func(src trace.EventSource) error {
-			_, err := fleet.Run(src, fleet.Options{
-				Shards: 16,
-				Server: server.Config{
-					CacheBlocks: (128 << 20) / (4 << 10),
-					NVRAMBlocks: (2 << 20) / (4 << 10),
-				},
-			})
-			return err
-		})
-	})
 }

@@ -86,8 +86,8 @@ func (fs *FS) Checkpoint(now int64) {
 	// below it — truncate the delete log and drop checkpointed segment
 	// summaries, so both are bounded by the activity between checkpoints
 	// instead of growing toward disk capacity for the life of the file
-	// system (a population-scale fleet holds many volumes at once, and
-	// the retained summary lists dominated its heap before this).
+	// system (the crash harness checkpoints periodically through a whole
+	// trace).
 	fs.deleteLog = fs.deleteLog[:0]
 	for seg, r := range fs.segLog {
 		if r.seq <= fs.checkpoint.seq {

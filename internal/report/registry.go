@@ -154,7 +154,5 @@ func Experiments() []Experiment {
 			Run: onWorkspace(ReliabilityContext), CSV: "reliability"},
 		{Name: "degraded", Desc: "fault-injected write-back and graceful degradation (extension)",
 			Run: onWorkspace(DegradedContext), CSV: "degraded"},
-		{Name: "fleet", Desc: "population-scale sharded server fleet: load balance, storms, tail latency (extension)",
-			Run: onWorkspace(FleetContext), CSV: "fleet"},
 	}
 }

@@ -32,7 +32,6 @@ func TestRegistryResultShapes(t *testing.T) {
 		"ablate":      (*AblationResult)(nil),
 		"reliability": (*ReliabilityResult)(nil),
 		"degraded":    (*DegradedResult)(nil),
-		"fleet":       (*FleetResult)(nil),
 	}
 	type plotter interface {
 		Plot(w io.Writer, title string) error

@@ -21,7 +21,6 @@ import (
 
 	"nvramfs/internal/disk"
 	"nvramfs/internal/lfs"
-	"nvramfs/internal/stats"
 )
 
 // Config parameterizes the server.
@@ -61,13 +60,6 @@ type Stats struct {
 	FsyncsAbsorbed int64 // fsyncs satisfied by the NVRAM region
 	FsyncsForced   int64 // fsyncs that had to reach the disk
 	NVRAMBlocksIn  int64 // dirty blocks placed in the NVRAM region
-	// WriteBackLatency is the virtual time each dirty block spent at risk:
-	// from first dirtying until it became permanent. Blocks entering the
-	// NVRAM region observe 0 (permanent on arrival); volatile blocks
-	// observe now-firstDirty when flushed into the file system. Absorbed
-	// blocks (overwritten or deleted before any flush) never reach
-	// permanence and are not observed.
-	WriteBackLatency stats.Hist
 }
 
 type blockID struct {
@@ -82,7 +74,6 @@ type entry struct {
 	inNVRAM    bool
 	firstDirty int64
 	lru        *list.Element // position in the LRU list (front = MRU)
-	stamp      int64         // cluster-wide recency stamp (see Cluster)
 }
 
 // Server is the simulated file server.
@@ -172,11 +163,8 @@ func (s *Server) Advance(now int64) {
 func (s *Server) flushBlock(now int64, b *entry) {
 	s.fs.Write(now, b.id.file, b.id.index*s.cfg.BlockSize, s.cfg.BlockSize)
 	if b.inNVRAM {
-		// Already permanent; latency 0 was observed when it entered NVRAM.
 		b.inNVRAM = false
 		s.nNV--
-	} else {
-		s.stats.WriteBackLatency.Observe(now - b.firstDirty)
 	}
 	b.dirty = false
 	s.nDirty--
@@ -238,7 +226,6 @@ func (s *Server) Write(now int64, file uint64, off, n int64) {
 			b.inNVRAM = true
 			s.nNV++
 			s.stats.NVRAMBlocksIn++
-			s.stats.WriteBackLatency.Observe(0)
 		} else {
 			b.firstDirty = now
 			heap.Push(&s.ageHp, srvAgeEntry{at: now, id: id})

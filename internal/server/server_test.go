@@ -173,80 +173,3 @@ func driveProfile(p serverload.Profile, s *Server, d time.Duration) {
 		},
 	}, d)
 }
-
-func TestClusterSharedBudget(t *testing.T) {
-	// A 16-block shared cache over two volumes: the busy volume should be
-	// able to use nearly everything while the idle one holds little.
-	c, err := NewCluster(Config{CacheBlocks: 16}, []string{"/busy", "/idle"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now int64
-	// One old block on the idle volume.
-	if err := c.Write("/idle", now, 1, 0, 4*kb); err != nil {
-		t.Fatal(err)
-	}
-	// The busy volume streams far more than the budget.
-	for i := int64(0); i < 64; i++ {
-		now += sec
-		if err := c.Write("/busy", now, 2, i*4*kb, 4*kb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.totalBlocks(); got > 16 {
-		t.Fatalf("cluster over budget: %d blocks", got)
-	}
-	busy, _ := c.Volume("/busy")
-	idle, _ := c.Volume("/idle")
-	if len(busy.blocks) < 14 {
-		t.Errorf("busy volume holds only %d blocks of the shared 16", len(busy.blocks))
-	}
-	if len(idle.blocks) > 2 {
-		t.Errorf("idle volume still holds %d blocks", len(idle.blocks))
-	}
-}
-
-func TestClusterBasics(t *testing.T) {
-	c, err := NewCluster(Config{CacheBlocks: 64}, []string{"/a", "/b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCluster(Config{}, nil); err == nil {
-		t.Fatal("empty cluster accepted")
-	}
-	if _, err := NewCluster(Config{}, []string{"/a", "/a"}); err == nil {
-		t.Fatal("duplicate volume accepted")
-	}
-	if got := c.Volumes(); len(got) != 2 || got[0] != "/a" {
-		t.Fatalf("volumes: %v", got)
-	}
-	if err := c.Write("/a", 0, 1, 0, 8*kb); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Fsync("/a", 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Read("/a", 2, 1, 0, 8*kb); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete("/a", 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []error{
-		c.Write("/nope", 0, 1, 0, 1),
-		c.Read("/nope", 0, 1, 0, 1),
-		c.Fsync("/nope", 0, 1),
-		c.Delete("/nope", 0, 1),
-	} {
-		if op == nil {
-			t.Fatal("unknown volume accepted")
-		}
-	}
-	c.Shutdown(10 * sec)
-	if c.DiskWrites() == 0 {
-		t.Fatal("no disk writes recorded")
-	}
-	if _, ok := c.Volume("/nope"); ok {
-		t.Fatal("unknown volume found")
-	}
-}

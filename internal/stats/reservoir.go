@@ -7,9 +7,9 @@ import (
 
 // Reservoir is a fixed-capacity uniform sample of an observation stream
 // (Vitter's Algorithm R) with exact quantiles over the sample. The
-// daemon's load generator needs real p50/p99 latencies, and Hist's
-// power-of-two bucket edges are too coarse for that — a 400µs p99 and a
-// 510µs p99 land in the same bucket. The sampler is seeded, so a fixed
+// daemon's load generator needs real p50/p99 latencies, and power-of-two
+// bucket edges are too coarse for that — a 400µs p99 and a 510µs p99 land
+// in the same bucket. The sampler is seeded, so a fixed
 // observation stream yields a fixed sample.
 type Reservoir struct {
 	cap    int

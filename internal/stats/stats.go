@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -71,62 +70,6 @@ func (h *LogHistogram) Buckets() ([]int64, []int64) {
 		weights[i] = h.buckets[b]
 	}
 	return lows, weights
-}
-
-// Hist is a fixed-size power-of-two histogram of non-negative int64
-// observations with quantile queries, built for the fleet experiment's
-// virtual-time write-back latencies and recall-storm fan-outs. Unlike
-// LogHistogram it has value semantics (no map, no allocation), so it can
-// live inside per-shard counter structs and merge across shards with a
-// loop of adds. Observation v lands in bucket bits.Len64(v): bucket 0
-// holds exactly v==0 (an NVRAM write-back, a storm that touched nobody),
-// bucket b>0 holds v in [2^(b-1), 2^b).
-type Hist struct {
-	Counts [65]int64
-	N      int64
-}
-
-// Observe records one observation (negative values clamp to 0).
-func (h *Hist) Observe(v int64) {
-	b := 0
-	if v > 0 {
-		b = bits.Len64(uint64(v))
-	}
-	h.Counts[b]++
-	h.N++
-}
-
-// Merge adds o's observations into h.
-func (h *Hist) Merge(o *Hist) {
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.N += o.N
-}
-
-// Quantile returns an upper bound for the p-th quantile (0 < p <= 1): the
-// inclusive upper edge of the bucket holding the ceil(p*N)-th smallest
-// observation, or 0 when empty. Bucket edges are exact powers of two, so
-// the answer is deterministic and merge-order independent.
-func (h *Hist) Quantile(p float64) int64 {
-	if h.N == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(p * float64(h.N)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for b, c := range h.Counts {
-		seen += c
-		if seen >= rank {
-			if b == 0 {
-				return 0
-			}
-			return (int64(1) << uint(b)) - 1
-		}
-	}
-	return math.MaxInt64 // unreachable: seen reaches N
 }
 
 // Mean accumulates a running mean.
