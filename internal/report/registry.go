@@ -93,12 +93,12 @@ func serverStudyTable(render func(*ServerStudyResult, io.Writer) error) func(con
 // Experiments returns the registry in report order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{Name: "table1", Desc: "trace characteristics of the synthetic Sprite traces",
+		{Name: "table1", Desc: "1992 NVRAM component costs (list prices, lots of 5000+)",
 			Run: func(context.Context, *Session) (Result, error) { return renderFunc(RenderTable1), nil }},
-		{Name: "fig2", Desc: "miss ratio vs client cache size (volatile baseline)",
+		{Name: "fig2", Desc: "net write traffic (%) vs write-back delay (minutes), infinite cache",
 			Run: onWorkspace(Figure2Context), CSV: "fig2",
 			Title: "Figure 2: net write traffic (%) vs write-back delay (min, log)"},
-		{Name: "table2", Desc: "client write traffic surviving 30s/5min windows",
+		{Name: "table2", Desc: "fate of all bytes written into an infinite non-volatile cache",
 			Run: onWorkspace(Table2Context), CSV: "table2"},
 		{Name: "fig3", Desc: "write traffic vs cache size, omniscient policy, all traces",
 			Run: onWorkspace(Figure3Context), CSV: "fig3"},
@@ -124,10 +124,10 @@ func Experiments() []Experiment {
 				return CostStudy(fig6), nil
 			},
 			CSV: "cost"},
-		{Name: "table3", Desc: "server write traffic by age threshold",
+		{Name: "table3", Desc: "forced partial segments per LFS file system",
 			Run: serverStudyTable((*ServerStudyResult).RenderTable3),
 			CSV: "server_study"},
-		{Name: "table4", Desc: "server disk utilization with and without a write buffer",
+		{Name: "table4", Desc: "partial-segment sizes and fsync traffic",
 			Run: serverStudyTable((*ServerStudyResult).RenderTable4),
 			CSV: "server_study"},
 		{Name: "buffer", Desc: "server NVRAM write-buffer study, section 3",
