@@ -48,9 +48,9 @@ if [ "$(nproc)" -ge 2 ]; then
 	bash bench/run.sh --workload daemon_park --seed 1 --seconds 2 --trace 1
 fi
 
-# The bounded-memory gate (heap_test.go): peak live heap within 2x when a
-# trace grows 10x. The one-worker run of nvreport's golden (the same
-# digests as at two and eight workers, which the suites above check). Both
+# The bounded-memory gate (heap_test.go) holds the peak live heap within
+# 2x when a trace grows 10x. The one-worker run of nvreport's golden checks
+# the digests that the suites above check at two and eight workers. Both
 # skip under -short and under the race detector, so they run here by name.
 go test -count=1 -run 'HeapBound' .
 go test -count=1 -run 'TestGoldenOutput/j1' ./cmd/nvreport

@@ -46,17 +46,13 @@ const goldenJobs = 576
 // TestGoldenOutput runs every registry entry (-exp all) with -plot and
 // -csv at one, two and eight workers and compares the sha256 of its stdout
 // and of each CSV file with the checked-in digests (sha256sum's format,
-// stdout named "-"), the same digests at every worker count. -update
-// rewrites them from the two-worker run. The one-worker run is the
-// slowest; -short and the race detector skip it.
+// stdout named "-"), the same digests at every worker count. The
+// one-worker run is the slowest; -short and the race detector skip it.
 func TestGoldenOutput(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
 			if workers == 1 && (testing.Short() || raceEnabled) {
 				t.Skip("the one-worker golden skips under -short and the race detector")
-			}
-			if *update && workers != 2 {
-				t.Skip("-update rewrites the digests from the two-worker run")
 			}
 			checkGolden(t, workers)
 		})

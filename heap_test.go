@@ -59,41 +59,19 @@ func (s *heapSampler) sample() {
 	s.peak = max(s.peak, s.live[0].Value.Uint64())
 }
 
-// checkHeapBound measures base and grown and fails if the grown run's peak
-// live heap exceeds twice the base run's.
-func checkHeapBound(t *testing.T, what string, run func(grown bool) (int64, uint64, error)) {
+// TestStreamHeapBound streams a steady-live-set trace through
+// canonicalization and a unified-model simulation, then the same trace run
+// ten times as long, and fails if the long run's peak live heap exceeds
+// twice the short run's.
+func TestStreamHeapBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap gate skipped in -short mode")
 	}
 	if raceEnabled {
 		t.Skip("the race detector's shadow heap is not the program's heap")
 	}
-	baseN, basePeak, err := run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grownN, grownPeak, err := run(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(grownPeak) / float64(basePeak)
-	t.Logf("%s: %d events peak live %.1f MiB -> %d events peak live %.1f MiB (ratio %.2f)",
-		what, baseN, float64(basePeak)/(1<<20), grownN, float64(grownPeak)/(1<<20), ratio)
-	if ratio > 2 {
-		t.Fatalf("%s: peak live heap grew %.2fx, bound 2x", what, ratio)
-	}
-}
-
-// TestStreamHeapBound streams a steady-live-set trace through
-// canonicalization and a unified-model simulation, then the same trace run
-// ten times as long.
-func TestStreamHeapBound(t *testing.T) {
-	checkHeapBound(t, "stream 10x", func(grown bool) (int64, uint64, error) {
-		p := steadyProfile()
-		if grown {
-			p.Duration *= 10
-		}
-		return peakLiveHeap(workload.NewCursor(p), func(src trace.EventSource) error {
+	run := func(p workload.Profile) (int64, uint64) {
+		n, peak, err := peakLiveHeap(workload.NewCursor(p), func(src trace.EventSource) error {
 			_, err := sim.Run(prep.NewSource(src, prep.Options{Trusted: true}), sim.Config{
 				Model: cache.ModelUnified,
 				Cache: cache.Config{
@@ -108,7 +86,21 @@ func TestStreamHeapBound(t *testing.T) {
 			})
 			return err
 		})
-	})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, peak
+	}
+	p := steadyProfile()
+	baseN, basePeak := run(p)
+	p.Duration *= 10
+	grownN, grownPeak := run(p)
+	ratio := float64(grownPeak) / float64(basePeak)
+	t.Logf("stream 10x: %d events peak live %.1f MiB -> %d events peak live %.1f MiB (ratio %.2f)",
+		baseN, float64(basePeak)/(1<<20), grownN, float64(grownPeak)/(1<<20), ratio)
+	if ratio > 2 {
+		t.Fatalf("stream 10x: peak live heap grew %.2fx, bound 2x", ratio)
+	}
 }
 
 // steadyProfile is development and producer/consumer activity whose
