@@ -72,7 +72,12 @@ func (m *hybridModel) evictFrom(now int64, p *Pool) {
 	}
 	if v.IsDirty() {
 		segs := v.Dirty.RemoveAll()
-		m.traffic.WriteBack[CauseReplacement] += segsLen(segs)
+		n := segsLen(segs)
+		m.traffic.WriteBack[CauseReplacement] += n
+		if p == m.nv {
+			m.traffic.NVRAMReadBytes += n
+			m.traffic.NVRAMAccesses++
+		}
 		m.cfg.Hooks.emitWrite(now, v.ID.File, segs, CauseReplacement, p == m.nv)
 	}
 	m.cfg.Arena.Put(v)
@@ -221,7 +226,12 @@ func (m *hybridModel) flushPools(now int64, file uint64, all bool, cause Cause) 
 		flush := func(b *Block) {
 			if b.IsDirty() {
 				segs := b.Dirty.RemoveAll()
-				n += segsLen(segs)
+				k := segsLen(segs)
+				n += k
+				if stable {
+					m.traffic.NVRAMReadBytes += k
+					m.traffic.NVRAMAccesses++
+				}
 				m.cfg.Hooks.emitWrite(now, b.ID.File, segs, cause, stable)
 				b.markClean()
 			}

@@ -118,3 +118,26 @@ func TestDirtyPreferenceSparesDirtyBlocks(t *testing.T) {
 		t.Fatalf("all-dirty replacement = %d", m2.Traffic().WriteBack[CauseReplacement])
 	}
 }
+
+func TestHybridWriteBackReadsNVRAM(t *testing.T) {
+	// A write-back of NVRAM-resident bytes reads them out of the NVRAM,
+	// as in the unified and write-aside models.
+	m := mustModel(t, ModelHybrid, Config{VolatileBlocks: 8, NVRAMBlocks: 1})
+	m.Write(0, 1, rr(0, 4096))    // NVRAM
+	m.Write(1, 1, rr(4096, 8192)) // volatile
+	if n := m.FlushFile(2, 1, CauseCallback); n != 8192 {
+		t.Fatalf("flushed %d", n)
+	}
+	tr := m.Traffic()
+	if tr.NVRAMReadBytes != 4096 || tr.NVRAMAccesses != 2 {
+		t.Fatalf("NVRAM read %d bytes in %d accesses, want 4096 in 2", tr.NVRAMReadBytes, tr.NVRAMAccesses)
+	}
+	// Replacement out of the NVRAM reads the victim too.
+	m = mustModel(t, ModelHybrid, Config{VolatileBlocks: 0, NVRAMBlocks: 1})
+	m.Write(0, 1, rr(0, 100))
+	m.Write(1, 2, rr(0, 100)) // evicts the first block
+	if tr := m.Traffic(); tr.WriteBack[CauseReplacement] != 100 || tr.NVRAMReadBytes != 100 {
+		t.Fatalf("replacement wrote back %d bytes and read %d from NVRAM, want 100 and 100",
+			tr.WriteBack[CauseReplacement], tr.NVRAMReadBytes)
+	}
+}
