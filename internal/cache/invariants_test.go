@@ -212,10 +212,10 @@ func TestVolatileRandomInvariants(t *testing.T) {
 		m := mustModel(t, ModelVolatile, Config{BlockSize: mixBlockSize, VolatileBlocks: 8}).(*volatileModel)
 		for op, o := range randomMix(seed, 3000) {
 			o.apply(m, true)
-			if m.pool.Len() > m.pool.Capacity() {
+			if m.vol.Len() > m.vol.Capacity() {
 				t.Fatalf("seed %d op %d: pool over capacity", seed, op)
 			}
-			for _, b := range m.pool.Blocks() {
+			for _, b := range m.vol.Blocks() {
 				for _, g := range b.Dirty.Segs() {
 					if !b.Valid.ContainsRange(g.Range()) {
 						t.Fatalf("seed %d op %d: block %v: dirty bytes %v not valid", seed, op, b.ID, g)
@@ -227,7 +227,7 @@ func TestVolatileRandomInvariants(t *testing.T) {
 						seed, op, b.ID, b.FirstDirty, tag, dirty)
 				}
 			}
-			checkCleanerEntries(t, m.pool, m.cleaner, seed, op)
+			checkCleanerEntries(t, m.vol, m.cleaner, seed, op)
 			checkConservation(t, m)
 		}
 	}

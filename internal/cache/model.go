@@ -166,8 +166,10 @@ type Model interface {
 	// DeleteRange kills the bytes of r: cached copies are discarded and
 	// dirty bytes die in place (absorption).
 	DeleteRange(now int64, file uint64, r interval.Range)
-	// Fsync flushes the file's dirty bytes in the volatile model; the
-	// NVRAM models treat NVRAM as stable storage and do nothing.
+	// Fsync flushes the file's volatile-resident dirty bytes: all of them
+	// in the volatile model, those outside the NVRAM in the hybrid model.
+	// Write-aside and unified treat NVRAM as stable storage and do
+	// nothing.
 	Fsync(now int64, file uint64)
 	// FlushFile writes the file's dirty bytes to the server, returning the
 	// byte count.
@@ -243,16 +245,5 @@ func NewModel(kind ModelKind, cfg Config) (Model, error) {
 		return newUnified(cfg, pol), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown model kind %d", kind)
-	}
-}
-
-// noteConcurrent is the shared implementation of Model.NoteConcurrent.
-func noteConcurrent(t *Traffic, read bool, n int64) {
-	if read {
-		t.AppReadBytes += n
-		t.ServerReadBytes += n
-	} else {
-		t.AppWriteBytes += n
-		t.WriteBack[CauseConcurrent] += n
 	}
 }
