@@ -62,6 +62,7 @@ go test -count=1 -run 'TestGoldenOutput/j1' ./cmd/nvreport
 # -fuzzminimizetime (60 s by default); on these inputs of a few hundred
 # bytes that stalled the 20 s budget after a few dozen runs, so it is 1 s.
 go test -run '^$' -fuzz '^FuzzBroadcastMatchesRuns$' -fuzztime 20s -fuzzminimizetime 1s ./internal/sim
+go test -run '^$' -fuzz '^FuzzCacheModels$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cache
 
 # The report package simulates every figure's grid at test scale several
 # times over (the golden render at one and eight workers, the call-order

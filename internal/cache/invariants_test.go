@@ -1,72 +1,14 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"nvramfs/internal/interval"
 )
 
-// checkUnifiedInvariants verifies the unified model's structural
-// invariants from the paper's Section 2.1: blocks are never duplicated
-// between the memories, dirty blocks reside only in the NVRAM, and
-// neither pool exceeds its capacity.
-func checkUnifiedInvariants(t *testing.T, m *unifiedModel) {
-	t.Helper()
-	if m.vol.Len() > m.vol.Capacity() || m.nv.Len() > m.nv.Capacity() {
-		t.Fatalf("pool over capacity: vol %d/%d nv %d/%d",
-			m.vol.Len(), m.vol.Capacity(), m.nv.Len(), m.nv.Capacity())
-	}
-	for _, b := range m.vol.Blocks() {
-		if m.nv.Get(b.ID) != nil {
-			t.Fatalf("block %v duplicated in both memories", b.ID)
-		}
-		if b.IsDirty() {
-			t.Fatalf("dirty block %v in the volatile cache", b.ID)
-		}
-		if b.Dirty.Len() > 0 {
-			t.Fatalf("block %v has dirty bytes outside NVRAM", b.ID)
-		}
-	}
-	for _, b := range m.nv.Blocks() {
-		for _, g := range b.Dirty.Segs() {
-			if !b.Valid.ContainsRange(interval.Range{Start: g.Start, End: g.End}) {
-				t.Fatalf("block %v: dirty bytes %v not valid", b.ID, g)
-			}
-		}
-	}
-}
-
-// checkConservation verifies every written byte is accounted for exactly
-// once: flushed to the server, absorbed (overwritten/deleted in cache), or
-// still dirty.
-func checkConservation(t *testing.T, m Model) {
-	t.Helper()
-	tr := m.Traffic()
-	got := tr.ServerWriteBytes() + tr.AbsorbedBytes() + m.DirtyBytes()
-	if got != tr.AppWriteBytes {
-		t.Fatalf("conservation violated: flushed+absorbed+dirty = %d, written = %d",
-			got, tr.AppWriteBytes)
-	}
-}
-
-// checkCleanerEntries verifies that every dirty block of the pool has a
-// cleaner entry at its FirstDirty, so the delayed write-back takes it
-// WriteBackDelay after it was first dirtied.
-func checkCleanerEntries(t *testing.T, p *Pool, h cleanerHeap, seed int64, op int) {
-	t.Helper()
-	scheduled := make(map[cleanerEntry]bool, len(h))
-	for _, e := range h {
-		scheduled[e] = true
-	}
-	for _, b := range p.Blocks() {
-		if b.IsDirty() && !scheduled[cleanerEntry{at: b.FirstDirty, id: b.ID}] {
-			t.Fatalf("seed %d op %d: dirty block %v has no cleaner entry at its FirstDirty %d", seed, op, b.ID, b.FirstDirty)
-		}
-	}
-}
-
-// mixOp is one operation of a seeded random op mix over three files of 24
+// mixOp is one operation of a random op mix over three files of 24
 // 256-byte blocks.
 type mixOp struct {
 	kind int // 0-3 write, 4-6 read, 7-8 delete, 9 fsync, 10 file flush, 11 last slot
@@ -79,27 +21,41 @@ type mixOp struct {
 // mixBlockSize is the block size the mixes are drawn for.
 const mixBlockSize = 256
 
-// randomMix returns n ops of the seeded mix the invariant and fork tests
-// drive.
-func randomMix(seed int64, n int) []mixOp {
-	rng := rand.New(rand.NewSource(seed))
-	sizes := map[uint64]int64{}
-	var now int64
-	const space = 24 * mixBlockSize
-	ops := make([]mixOp, n)
-	for i := range ops {
-		now += 1 + rng.Int63n(5e6)
-		file := uint64(1 + rng.Intn(3))
-		a := rng.Int63n(space)
-		op := mixOp{now: now, file: file, r: interval.Range{Start: a, End: a + 1 + rng.Int63n(512)}}
-		op.kind = rng.Intn(12)
-		if op.kind <= 6 && op.r.End > sizes[file] {
-			sizes[file] = op.r.End
-		}
-		op.size = sizes[file]
-		ops[i] = op
+// mixSpace is the byte span of each file the mixes touch.
+const mixSpace = 24 * mixBlockSize
+
+// mixer builds an op mix, tracking each file's size for reads.
+type mixer struct {
+	ops   []mixOp
+	now   int64
+	sizes [4]int64
+}
+
+// add appends an op of the given kind dt after the previous one.
+func (x *mixer) add(dt int64, file uint64, start, n int64, kind int) {
+	x.now += dt
+	op := mixOp{kind: kind, now: x.now, file: file, r: interval.Range{Start: start, End: start + n}}
+	if kind <= 6 && op.r.End > x.sizes[file] {
+		x.sizes[file] = op.r.End
 	}
-	return ops
+	op.size = x.sizes[file]
+	x.ops = append(x.ops, op)
+}
+
+// random appends n ops of a seeded mix.
+func (x *mixer) random(seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed))
+	for range n {
+		x.add(1+rng.Int63n(5e6), uint64(1+rng.Intn(3)), rng.Int63n(mixSpace), 1+rng.Int63n(512), rng.Intn(12))
+	}
+}
+
+// randomMix returns n ops of the seeded mix the invariant, fork and digest
+// tests drive.
+func randomMix(seed int64, n int) []mixOp {
+	var x mixer
+	x.random(seed, n)
+	return x.ops
 }
 
 // apply applies the op to m. The last slot invalidates the file, or with
@@ -125,110 +81,163 @@ func (op mixOp) apply(m Model, advance bool) {
 	}
 }
 
-// TestUnifiedRandomInvariants drives the unified model with a random
-// operation mix, checking the structural invariants and the byte
-// conservation law after every operation.
-func TestUnifiedRandomInvariants(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		m := mustModel(t, ModelUnified, Config{
-			BlockSize:      mixBlockSize,
-			VolatileBlocks: 6,
-			NVRAMBlocks:    4,
-		}).(*unifiedModel)
-		ops := randomMix(seed, 3000)
-		for _, op := range ops {
-			op.apply(m, false)
-			checkUnifiedInvariants(t, m)
-			checkConservation(t, m)
+// coreOf returns the model's shared state.
+func coreOf(m Model) *core {
+	switch m := m.(type) {
+	case *volatileModel:
+		return &m.core
+	case *writeAsideModel:
+		return &m.core
+	case *unifiedModel:
+		return &m.core
+	case *hybridModel:
+		return &m.core
+	}
+	panic("unknown model")
+}
+
+// checkInvariants verifies the structural invariants every organization
+// keeps between operations:
+//   - no pool is over capacity;
+//   - no block is in both memories, except a write-aside shadow, which is
+//     dirty, holds no valid bytes and has a volatile copy in which its
+//     dirty bytes are valid;
+//   - every other block's dirty bytes are valid;
+//   - no volatile block is dirty when the organization stages writes in
+//     NVRAM;
+//   - a volatile block has a FirstDirty exactly while dirty, no later than
+//     its oldest dirty byte, and a cleaner entry there;
+//   - ForEachDirty enumerates DirtyBytes, and every written byte is
+//     accounted for once: written back, absorbed or still dirty.
+func checkInvariants(m Model) error {
+	c := coreOf(m)
+	vol, nv := m.Pools()
+	shadows := c.kind == ModelWriteAside
+	scheduled := make(map[cleanerEntry]bool, len(c.cleaner))
+	for _, e := range c.cleaner {
+		scheduled[e] = true
+	}
+	if vol.Len() > vol.Capacity() {
+		return fmt.Errorf("volatile pool over capacity: %d/%d", vol.Len(), vol.Capacity())
+	}
+	for _, b := range vol.Blocks() {
+		tag, dirty := b.Dirty.MinTag()
+		switch {
+		case nv != nil && !shadows && nv.Get(b.ID) != nil:
+			return fmt.Errorf("block %v in both memories", b.ID)
+		case !dirtyValid(b, b):
+			return fmt.Errorf("block %v: dirty bytes not valid", b.ID)
+		case dirty && c.kind.StagesWritesInNVRAM():
+			return fmt.Errorf("dirty block %v in the volatile pool of %v", b.ID, c.kind)
+		case dirty != (b.FirstDirty != -1) || dirty && b.FirstDirty > tag:
+			return fmt.Errorf("block %v: FirstDirty %d, oldest dirty byte %d (dirty %v)", b.ID, b.FirstDirty, tag, dirty)
+		case dirty && !scheduled[cleanerEntry{at: b.FirstDirty, id: b.ID}]:
+			return fmt.Errorf("dirty block %v has no cleaner entry at its FirstDirty %d", b.ID, b.FirstDirty)
 		}
-		m.FlushAll(ops[len(ops)-1].now, CauseEnd)
-		checkConservation(t, m)
+	}
+	if nv != nil {
+		if nv.Len() > nv.Capacity() {
+			return fmt.Errorf("NVRAM over capacity: %d/%d", nv.Len(), nv.Capacity())
+		}
+		for _, b := range nv.Blocks() {
+			bv := b
+			if shadows {
+				bv = vol.Get(b.ID)
+				switch {
+				case !b.IsDirty() || b.Valid.Len() != 0:
+					return fmt.Errorf("shadow %v: %d dirty bytes, %d valid", b.ID, b.Dirty.Len(), b.Valid.Len())
+				case bv == nil:
+					return fmt.Errorf("shadow %v without volatile copy", b.ID)
+				}
+			}
+			if !dirtyValid(b, bv) {
+				return fmt.Errorf("block %v: dirty bytes not valid", b.ID)
+			}
+		}
+	}
+	var enumerated int64
+	m.ForEachDirty(func(_ uint64, g interval.Seg, _ bool) { enumerated += g.Len() })
+	if enumerated != m.DirtyBytes() {
+		return fmt.Errorf("ForEachDirty enumerates %d bytes, DirtyBytes %d", enumerated, m.DirtyBytes())
+	}
+	tr := m.Traffic()
+	if got := tr.ServerWriteBytes() + tr.AbsorbedBytes() + m.DirtyBytes(); got != tr.AppWriteBytes {
+		return fmt.Errorf("conservation violated: flushed+absorbed+dirty = %d, written = %d", got, tr.AppWriteBytes)
+	}
+	return nil
+}
+
+// dirtyValid reports whether b's dirty bytes are valid in v.
+func dirtyValid(b, v *Block) bool {
+	for _, g := range b.Dirty.Segs() {
+		if !v.Valid.ContainsRange(g.Range()) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzCacheModels drives one organization, under one policy and one pair
+// of capacities, with a 3000-op seeded mix followed by ops decoded from
+// tail (4 bytes each), and checks the invariants after every op. flags
+// bit 0 runs the cleaner in the mix's last slot instead of Invalidate; bit
+// 1 turns on DirtyPreference. After a final FlushAll nothing is dirty.
+func FuzzCacheModels(f *testing.F) {
+	const (
+		volatile   = uint8(ModelVolatile)
+		writeAside = uint8(ModelWriteAside)
+		unified    = uint8(ModelUnified)
+		hybrid     = uint8(ModelHybrid)
+		lru        = uint8(LRU)
+	)
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(unified, lru, uint8(6), uint8(4), uint8(0), seed, []byte(nil))
+	}
+	for seed := int64(10); seed < 13; seed++ {
+		f.Add(writeAside, lru, uint8(8), uint8(4), uint8(0), seed, []byte(nil))
+	}
+	f.Add(hybrid, lru, uint8(6), uint8(3), uint8(1), int64(21), []byte(nil))
+	for seed := int64(30); seed < 33; seed++ {
+		f.Add(volatile, lru, uint8(8), uint8(0), uint8(1), seed, []byte(nil))
+	}
+	f.Fuzz(func(t *testing.T, org, pol, vol, nv, flags uint8, seed int64, tail []byte) {
+		kind := ModelKind(org % 4)
+		cfg := Config{
+			BlockSize:       mixBlockSize,
+			VolatileBlocks:  int(vol % 10),
+			NVRAMBlocks:     1 + int(nv%9),
+			Seed:            seed,
+			DirtyPreference: flags&2 != 0,
+		}
+		if kind != ModelVolatile {
+			cfg.Policy = PolicyKind(pol % 3)
+		}
+		if cfg.VolatileBlocks == 0 && (kind == ModelVolatile || kind == ModelWriteAside) {
+			cfg.VolatileBlocks = 1
+		}
+		var x mixer
+		x.random(seed, 3000)
+		for ; len(tail) >= 4; tail = tail[4:] {
+			// A step of up to 21 s, so the cleaner comes due.
+			x.add(1+int64(tail[0]/12)*1e6, uint64(1+tail[1]%3), int64(tail[2])*mixSpace/256, 1+2*int64(tail[3]), int(tail[0]%12))
+		}
+		cfg.Schedule = newMixSchedule(x.ops)
+		m, err := NewModel(kind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range x.ops {
+			op.apply(m, flags&1 != 0)
+			if err := checkInvariants(m); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+		m.FlushAll(x.now, CauseEnd)
+		if err := checkInvariants(m); err != nil {
+			t.Fatal(err)
+		}
 		if m.DirtyBytes() != 0 {
 			t.Fatal("dirty bytes after FlushAll")
 		}
-	}
-}
-
-// TestWriteAsideRandomInvariants does the same for the write-aside model:
-// every NVRAM shadow is dirty, every shadow has a volatile counterpart,
-// and conservation holds.
-func TestWriteAsideRandomInvariants(t *testing.T) {
-	for seed := int64(10); seed < 13; seed++ {
-		m := mustModel(t, ModelWriteAside, Config{
-			BlockSize:      mixBlockSize,
-			VolatileBlocks: 8,
-			NVRAMBlocks:    4,
-		}).(*writeAsideModel)
-		for op, o := range randomMix(seed, 3000) {
-			o.apply(m, false)
-			if m.vol.Len() > m.vol.Capacity() || m.nv.Len() > m.nv.Capacity() {
-				t.Fatalf("seed %d op %d: pool over capacity", seed, op)
-			}
-			for _, bn := range m.nv.Blocks() {
-				if !bn.IsDirty() {
-					t.Fatalf("seed %d op %d: clean shadow %v in NVRAM", seed, op, bn.ID)
-				}
-				if m.vol.Get(bn.ID) == nil {
-					t.Fatalf("seed %d op %d: shadow %v without volatile copy", seed, op, bn.ID)
-				}
-			}
-			checkConservation(t, m)
-		}
-	}
-}
-
-// TestHybridRandomInvariants: conservation plus capacity bounds for the
-// hybrid extension, whose dirty data may live in either memory, and a
-// cleaner entry for every dirty volatile block.
-func TestHybridRandomInvariants(t *testing.T) {
-	const seed = 21
-	m := mustModel(t, ModelHybrid, Config{
-		BlockSize:      mixBlockSize,
-		VolatileBlocks: 6,
-		NVRAMBlocks:    3,
-	}).(*hybridModel)
-	for op, o := range randomMix(seed, 3000) {
-		o.apply(m, true)
-		checkCleanerEntries(t, m.vol, m.cleaner, seed, op)
-		if m.vol.Len() > m.vol.Capacity() || m.nv.Len() > m.nv.Capacity() {
-			t.Fatalf("op %d: pool over capacity", op)
-		}
-		for _, b := range m.vol.Blocks() {
-			if m.nv.Get(b.ID) != nil {
-				t.Fatalf("op %d: block %v in both memories", op, b.ID)
-			}
-		}
-		checkConservation(t, m)
-	}
-}
-
-// TestVolatileRandomInvariants puts the volatile model under the same
-// per-op checks: capacity, dirty bytes valid, FirstDirty set exactly on
-// dirty blocks and no later than their oldest dirty byte, a cleaner entry
-// for every dirty block, and byte conservation, with the cleaner run in
-// the last slot.
-func TestVolatileRandomInvariants(t *testing.T) {
-	for seed := int64(30); seed < 33; seed++ {
-		m := mustModel(t, ModelVolatile, Config{BlockSize: mixBlockSize, VolatileBlocks: 8}).(*volatileModel)
-		for op, o := range randomMix(seed, 3000) {
-			o.apply(m, true)
-			if m.vol.Len() > m.vol.Capacity() {
-				t.Fatalf("seed %d op %d: pool over capacity", seed, op)
-			}
-			for _, b := range m.vol.Blocks() {
-				for _, g := range b.Dirty.Segs() {
-					if !b.Valid.ContainsRange(g.Range()) {
-						t.Fatalf("seed %d op %d: block %v: dirty bytes %v not valid", seed, op, b.ID, g)
-					}
-				}
-				tag, dirty := b.Dirty.MinTag()
-				if dirty != (b.FirstDirty != -1) || dirty && b.FirstDirty > tag {
-					t.Fatalf("seed %d op %d: block %v: FirstDirty %d, oldest dirty byte %d (dirty %v)",
-						seed, op, b.ID, b.FirstDirty, tag, dirty)
-				}
-			}
-			checkCleanerEntries(t, m.vol, m.cleaner, seed, op)
-			checkConservation(t, m)
-		}
-	}
+	})
 }
