@@ -84,6 +84,9 @@ type Server struct {
 	now int64
 
 	blocks map[blockID]*entry
+	// files indexes the cached entries by file and index, so Fsync and
+	// Delete visit only the file's blocks.
+	files  map[uint64]map[int64]*entry
 	lru    *list.List // of blockID; front = most recently used
 	nDirty int
 	nNV    int
@@ -110,6 +113,7 @@ func New(cfg Config, d *disk.Disk) *Server {
 		fs:     lfs.New(cfg.FS, d),
 		d:      d,
 		blocks: make(map[blockID]*entry),
+		files:  make(map[uint64]map[int64]*entry),
 		lru:    list.New(),
 	}
 }
@@ -184,8 +188,18 @@ func (s *Server) evictOne(now int64) {
 	if victim.dirty {
 		s.flushBlock(now, victim)
 	}
-	s.lru.Remove(e)
-	delete(s.blocks, victim.id)
+	s.drop(victim)
+}
+
+// drop removes b from the cache.
+func (s *Server) drop(b *entry) {
+	s.lru.Remove(b.lru)
+	delete(s.blocks, b.id)
+	fb := s.files[b.id.file]
+	delete(fb, b.id.index)
+	if len(fb) == 0 {
+		delete(s.files, b.id.file)
+	}
 }
 
 // ensure returns the cached entry (promoted to MRU), creating and
@@ -201,6 +215,12 @@ func (s *Server) ensure(now int64, id blockID) *entry {
 	b := &entry{id: id}
 	b.lru = s.lru.PushFront(id)
 	s.blocks[id] = b
+	fb := s.files[id.file]
+	if fb == nil {
+		fb = make(map[int64]*entry)
+		s.files[id.file] = fb
+	}
+	fb[id.index] = b
 	return b
 }
 
@@ -234,14 +254,15 @@ func (s *Server) Write(now int64, file uint64, off, n int64) {
 	s.drainNVRAMIfSegmentReady(now)
 }
 
-// selectBlocks returns the cached entries matching keep, sorted by
-// (file, index). Map iteration order is randomized per range, but the
-// order blocks enter the file system decides segment layout and so disk
-// access counts; every bulk walk over s.blocks goes through here so a
-// replay is deterministic run to run.
-func (s *Server) selectBlocks(keep func(*entry) bool) []*entry {
+// selectBlocks returns the entries of m (s.blocks, or one file's
+// s.files) matching keep, sorted by (file, index). Map iteration order is
+// randomized per range, but the order blocks enter the file system decides
+// segment layout and so disk access counts; every bulk walk over the
+// cached entries goes through here so a replay is deterministic run to
+// run.
+func selectBlocks[K comparable](m map[K]*entry, keep func(*entry) bool) []*entry {
 	var picked []*entry
-	for _, b := range s.blocks {
+	for _, b := range m {
 		if keep(b) {
 			picked = append(picked, b)
 		}
@@ -262,7 +283,7 @@ func (s *Server) drainNVRAMIfSegmentReady(now int64) {
 	per := s.fs.Config().BlocksPerSegment()
 	for s.nNV >= per {
 		moved := 0
-		for _, b := range s.selectBlocks(func(b *entry) bool { return b.dirty && b.inNVRAM }) {
+		for _, b := range selectBlocks(s.blocks, func(b *entry) bool { return b.dirty && b.inNVRAM }) {
 			s.flushBlock(now, b)
 			moved++
 			if moved >= per {
@@ -301,9 +322,9 @@ func (s *Server) Read(now int64, file uint64, off, n int64) {
 func (s *Server) Fsync(now int64, file uint64) {
 	s.Advance(now)
 	forced := false
-	for _, b := range s.selectBlocks(func(b *entry) bool {
+	for _, b := range selectBlocks(s.files[file], func(b *entry) bool {
 		// NVRAM-resident blocks are already permanent.
-		return b.id.file == file && b.dirty && !b.inNVRAM
+		return b.dirty && !b.inNVRAM
 	}) {
 		s.flushBlock(now, b)
 		forced = true
@@ -320,7 +341,7 @@ func (s *Server) Fsync(now int64, file uint64) {
 // reclaims its on-disk blocks.
 func (s *Server) Delete(now int64, file uint64) {
 	s.Advance(now)
-	for _, b := range s.selectBlocks(func(b *entry) bool { return b.id.file == file }) {
+	for _, b := range selectBlocks(s.files[file], func(*entry) bool { return true }) {
 		if b.dirty {
 			s.stats.AbsorbedBlocks++
 			if b.inNVRAM {
@@ -328,8 +349,7 @@ func (s *Server) Delete(now int64, file uint64) {
 			}
 			s.nDirty--
 		}
-		s.lru.Remove(b.lru)
-		delete(s.blocks, b.id)
+		s.drop(b)
 	}
 	s.fs.Delete(now, file)
 }
@@ -337,7 +357,7 @@ func (s *Server) Delete(now int64, file uint64) {
 // Shutdown flushes everything to disk.
 func (s *Server) Shutdown(now int64) {
 	s.Advance(now)
-	for _, b := range s.selectBlocks(func(b *entry) bool { return b.dirty }) {
+	for _, b := range selectBlocks(s.blocks, func(b *entry) bool { return b.dirty }) {
 		s.flushBlock(now, b)
 	}
 	s.fs.Shutdown(now)

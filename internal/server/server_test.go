@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -172,4 +173,37 @@ func driveProfile(p serverload.Profile, s *Server, d time.Duration) {
 			s.Shutdown(now)
 		},
 	}, d)
+}
+
+// TestFileIndexMatchesBlocks holds the per-file index to the block map
+// after every op of a seeded mix that evicts, fsyncs and deletes.
+func TestFileIndexMatchesBlocks(t *testing.T) {
+	s := newServer(t, Config{CacheBlocks: 16, NVRAMBlocks: 4})
+	rng := rand.New(rand.NewSource(1))
+	for op := range 3000 {
+		now := int64(op) * sec / 10
+		file, off := uint64(1+rng.Intn(4)), rng.Int63n(32)*4*kb
+		switch rng.Intn(6) {
+		case 0, 1, 2:
+			s.Write(now, file, off, 1+rng.Int63n(12*kb))
+		case 3:
+			s.Read(now, file, off, 1+rng.Int63n(12*kb))
+		case 4:
+			s.Fsync(now, file)
+		case 5:
+			s.Delete(now, file)
+		}
+		n := 0
+		for f, fb := range s.files {
+			for idx, b := range fb {
+				if b != s.blocks[blockID{f, idx}] || len(fb) == 0 {
+					t.Fatalf("op %d: index entry %d/%d is not the cached block", op, f, idx)
+				}
+				n++
+			}
+		}
+		if n != len(s.blocks) {
+			t.Fatalf("op %d: index holds %d blocks, cache %d", op, n, len(s.blocks))
+		}
+	}
 }
