@@ -2,8 +2,11 @@
 // Section 2: the baseline volatile cache with Sprite's 30-second delayed
 // write-back, and the two NVRAM organizations — write-aside (NVRAM shadows
 // the dirty data held in the volatile cache) and unified (dirty blocks live
-// only in NVRAM, clean blocks in either memory) — together with the LRU,
-// random, and omniscient block replacement policies.
+// only in NVRAM, clean blocks in either memory) — and the hybrid
+// organization Section 2.6 sketches (dirty blocks in either memory),
+// together with the LRU, random, and omniscient block replacement
+// policies. The four organizations share one core (core.go); each model
+// file holds only its placement.
 //
 // Caches are block-structured (4 KB in Sprite) but account for traffic at
 // byte granularity: each block tracks which byte ranges are valid and which
@@ -121,14 +124,6 @@ func (a *BlockArena) Put(b *Block) {
 	b.nextMod = 0
 	b.schedTimes, b.schedPos, b.schedOK = nil, 0, false
 	a.free = append(a.free, b)
-}
-
-// Len reports the number of blocks currently free in the arena.
-func (a *BlockArena) Len() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.free)
 }
 
 // clone returns a copy of b with its own byte sets and no pool links; the

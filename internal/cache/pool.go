@@ -12,7 +12,7 @@ import (
 // cheap and need no sorting. Both indexes are the open-addressing tables
 // of index.go; keeping each chain sorted incrementally (inserts walk from
 // the tail, where append-order workloads land immediately) replaces the
-// old map-then-sort FileBlocks path.
+// old map-then-sort path.
 type Pool struct {
 	capacity int // in blocks; 0 means the pool holds nothing
 	// shared marks a pool whose model also stands for cells of larger
@@ -229,14 +229,6 @@ func (p *Pool) ForEachBlock(fn func(*Block)) {
 	for _, f := range fs {
 		p.ForEachFileBlock(f, fn)
 	}
-}
-
-// FileBlocks returns the cached blocks of one file in index order. Prefer
-// ForEachFileBlock in hot paths; this allocates the result slice.
-func (p *Pool) FileBlocks(file uint64) []*Block {
-	var out []*Block
-	p.ForEachFileBlock(file, func(b *Block) { out = append(out, b) })
-	return out
 }
 
 // Blocks returns all cached blocks in (file, index) order (see ForEachBlock

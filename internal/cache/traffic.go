@@ -135,6 +135,3 @@ func (t *Traffic) NetTotalFrac() float64 {
 	}
 	return float64(t.ServerReadBytes+t.ServerWriteBytes()) / float64(total)
 }
-
-// BusBytes is total client memory-bus traffic attributed to the file cache.
-func (t *Traffic) BusBytes() int64 { return t.BusWriteBytes + t.BusReadBytes }
