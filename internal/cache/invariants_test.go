@@ -177,67 +177,97 @@ func dirtyValid(b, v *Block) bool {
 	return true
 }
 
+// randomInvariantRuns are the seeded configurations the four
+// random-invariant tests run and FuzzCacheModels starts from: capacities,
+// flags (see FuzzCacheModels) and the seeds of the mix, all under LRU.
+var randomInvariantRuns = map[ModelKind]struct {
+	vol, nv, flags uint8
+	seeds          []int64
+}{
+	ModelUnified:    {6, 4, 0, []int64{0, 1, 2, 3}},
+	ModelWriteAside: {8, 4, 0, []int64{10, 11, 12}},
+	ModelHybrid:     {6, 3, 1, []int64{21}},
+	ModelVolatile:   {8, 0, 1, []int64{30, 31, 32}},
+}
+
+// runRandomInvariants runs the organization's seeded configurations.
+func runRandomInvariants(t *testing.T, kind ModelKind) {
+	r := randomInvariantRuns[kind]
+	for _, seed := range r.seeds {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			checkModelRun(t, uint8(kind), uint8(LRU), r.vol, r.nv, r.flags, seed, nil)
+		})
+	}
+}
+
+// TestUnifiedRandomInvariants checks the invariants of the unified model
+// after every op of its seeded mixes.
+func TestUnifiedRandomInvariants(t *testing.T) { runRandomInvariants(t, ModelUnified) }
+
+// TestWriteAsideRandomInvariants does the same for the write-aside model.
+func TestWriteAsideRandomInvariants(t *testing.T) { runRandomInvariants(t, ModelWriteAside) }
+
+// TestHybridRandomInvariants does the same for the hybrid model, with the
+// cleaner run in the mix's last slot.
+func TestHybridRandomInvariants(t *testing.T) { runRandomInvariants(t, ModelHybrid) }
+
+// TestVolatileRandomInvariants does the same for the volatile model, with
+// the cleaner run in the mix's last slot.
+func TestVolatileRandomInvariants(t *testing.T) { runRandomInvariants(t, ModelVolatile) }
+
 // FuzzCacheModels drives one organization, under one policy and one pair
 // of capacities, with a 3000-op seeded mix followed by ops decoded from
 // tail (4 bytes each), and checks the invariants after every op. flags
 // bit 0 runs the cleaner in the mix's last slot instead of Invalidate; bit
 // 1 turns on DirtyPreference. After a final FlushAll nothing is dirty.
 func FuzzCacheModels(f *testing.F) {
-	const (
-		volatile   = uint8(ModelVolatile)
-		writeAside = uint8(ModelWriteAside)
-		unified    = uint8(ModelUnified)
-		hybrid     = uint8(ModelHybrid)
-		lru        = uint8(LRU)
-	)
-	for seed := int64(0); seed < 4; seed++ {
-		f.Add(unified, lru, uint8(6), uint8(4), uint8(0), seed, []byte(nil))
+	for kind := ModelVolatile; kind <= ModelHybrid; kind++ {
+		r := randomInvariantRuns[kind]
+		for _, seed := range r.seeds {
+			f.Add(uint8(kind), uint8(LRU), r.vol, r.nv, r.flags, seed, []byte(nil))
+		}
 	}
-	for seed := int64(10); seed < 13; seed++ {
-		f.Add(writeAside, lru, uint8(8), uint8(4), uint8(0), seed, []byte(nil))
+	f.Fuzz(checkModelRun)
+}
+
+// checkModelRun is the body of FuzzCacheModels.
+func checkModelRun(t *testing.T, org, pol, vol, nv, flags uint8, seed int64, tail []byte) {
+	kind := ModelKind(org % 4)
+	cfg := Config{
+		BlockSize:       mixBlockSize,
+		VolatileBlocks:  int(vol % 10),
+		NVRAMBlocks:     1 + int(nv%9),
+		Seed:            seed,
+		DirtyPreference: flags&2 != 0,
 	}
-	f.Add(hybrid, lru, uint8(6), uint8(3), uint8(1), int64(21), []byte(nil))
-	for seed := int64(30); seed < 33; seed++ {
-		f.Add(volatile, lru, uint8(8), uint8(0), uint8(1), seed, []byte(nil))
+	if kind != ModelVolatile {
+		cfg.Policy = PolicyKind(pol % 3)
 	}
-	f.Fuzz(func(t *testing.T, org, pol, vol, nv, flags uint8, seed int64, tail []byte) {
-		kind := ModelKind(org % 4)
-		cfg := Config{
-			BlockSize:       mixBlockSize,
-			VolatileBlocks:  int(vol % 10),
-			NVRAMBlocks:     1 + int(nv%9),
-			Seed:            seed,
-			DirtyPreference: flags&2 != 0,
-		}
-		if kind != ModelVolatile {
-			cfg.Policy = PolicyKind(pol % 3)
-		}
-		if cfg.VolatileBlocks == 0 && (kind == ModelVolatile || kind == ModelWriteAside) {
-			cfg.VolatileBlocks = 1
-		}
-		var x mixer
-		x.random(seed, 3000)
-		for ; len(tail) >= 4; tail = tail[4:] {
-			// A step of up to 21 s, so the cleaner comes due.
-			x.add(1+int64(tail[0]/12)*1e6, uint64(1+tail[1]%3), int64(tail[2])*mixSpace/256, 1+2*int64(tail[3]), int(tail[0]%12))
-		}
-		cfg.Schedule = newMixSchedule(x.ops)
-		m, err := NewModel(kind, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, op := range x.ops {
-			op.apply(m, flags&1 != 0)
-			if err := checkInvariants(m); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-		}
-		m.FlushAll(x.now, CauseEnd)
+	if cfg.VolatileBlocks == 0 && (kind == ModelVolatile || kind == ModelWriteAside) {
+		cfg.VolatileBlocks = 1
+	}
+	var x mixer
+	x.random(seed, 3000)
+	for ; len(tail) >= 4; tail = tail[4:] {
+		// A step of up to 21 s, so the cleaner comes due.
+		x.add(1+int64(tail[0]/12)*1e6, uint64(1+tail[1]%3), int64(tail[2])*mixSpace/256, 1+2*int64(tail[3]), int(tail[0]%12))
+	}
+	cfg.Schedule = newMixSchedule(x.ops)
+	m, err := NewModel(kind, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range x.ops {
+		op.apply(m, flags&1 != 0)
 		if err := checkInvariants(m); err != nil {
-			t.Fatal(err)
+			t.Fatalf("op %d: %v", i, err)
 		}
-		if m.DirtyBytes() != 0 {
-			t.Fatal("dirty bytes after FlushAll")
-		}
-	})
+	}
+	m.FlushAll(x.now, CauseEnd)
+	if err := checkInvariants(m); err != nil {
+		t.Fatal(err)
+	}
+	if m.DirtyBytes() != 0 {
+		t.Fatal("dirty bytes after FlushAll")
+	}
 }
