@@ -230,13 +230,16 @@ func FuzzCacheModels(f *testing.F) {
 	f.Fuzz(checkModelRun)
 }
 
-// checkModelRun is the body of FuzzCacheModels.
-func checkModelRun(t *testing.T, org, pol, vol, nv, flags uint8, seed int64, tail []byte) {
+// runConfig decodes FuzzCacheModels' organization, policy, capacity and
+// flag bytes into a model kind and its configuration. Capacities below 10
+// are used as they stand, so randomInvariantRuns' entries run the sizes
+// they name; a pool that must not be empty gets at least one block.
+func runConfig(org, pol, vol, nv, flags uint8, seed int64) (ModelKind, Config) {
 	kind := ModelKind(org % 4)
 	cfg := Config{
 		BlockSize:       mixBlockSize,
 		VolatileBlocks:  int(vol % 10),
-		NVRAMBlocks:     1 + int(nv%9),
+		NVRAMBlocks:     max(1, int(nv%10)),
 		Seed:            seed,
 		DirtyPreference: flags&2 != 0,
 	}
@@ -246,6 +249,28 @@ func checkModelRun(t *testing.T, org, pol, vol, nv, flags uint8, seed int64, tai
 	if cfg.VolatileBlocks == 0 && (kind == ModelVolatile || kind == ModelWriteAside) {
 		cfg.VolatileBlocks = 1
 	}
+	return kind, cfg
+}
+
+// TestRandomInvariantRunsKeepTheirCapacities checks that the seeded runs
+// build their models with the capacities randomInvariantRuns names.
+func TestRandomInvariantRunsKeepTheirCapacities(t *testing.T) {
+	for kind, r := range randomInvariantRuns {
+		k, cfg := runConfig(uint8(kind), uint8(LRU), r.vol, r.nv, r.flags, r.seeds[0])
+		m, err := NewModel(k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vol, nv := m.Pools()
+		if k != kind || vol.Capacity() != int(r.vol) || kind != ModelVolatile && nv.Capacity() != int(r.nv) {
+			t.Errorf("%v: built %v with capacities %d/%d, want %d/%d", kind, k, vol.Capacity(), cfg.NVRAMBlocks, r.vol, r.nv)
+		}
+	}
+}
+
+// checkModelRun is the body of FuzzCacheModels.
+func checkModelRun(t *testing.T, org, pol, vol, nv, flags uint8, seed int64, tail []byte) {
+	kind, cfg := runConfig(org, pol, vol, nv, flags, seed)
 	var x mixer
 	x.random(seed, 3000)
 	for ; len(tail) >= 4; tail = tail[4:] {
