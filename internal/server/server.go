@@ -83,14 +83,14 @@ type Server struct {
 	d   *disk.Disk
 	now int64
 
-	blocks map[blockID]*entry
-	// files indexes the cached entries by file and index, so Fsync and
-	// Delete visit only the file's blocks.
-	files  map[uint64]map[int64]*entry
-	lru    *list.List // of blockID; front = most recently used
-	nDirty int
-	nNV    int
-	ageHp  srvAgeHeap
+	// files holds the cached entries by file and index, so Fsync and
+	// Delete visit only the file's blocks; nBlocks counts them.
+	files   map[uint64]map[int64]*entry
+	nBlocks int
+	lru     *list.List // of *entry; front = most recently used
+	nDirty  int
+	nNV     int
+	ageHp   srvAgeHeap
 
 	stats Stats
 }
@@ -109,12 +109,11 @@ func New(cfg Config, d *disk.Disk) *Server {
 		cfg.FS.AgeFlush = 1 // microsecond: due at the next flusher tick
 	}
 	return &Server{
-		cfg:    cfg,
-		fs:     lfs.New(cfg.FS, d),
-		d:      d,
-		blocks: make(map[blockID]*entry),
-		files:  make(map[uint64]map[int64]*entry),
-		lru:    list.New(),
+		cfg:   cfg,
+		fs:    lfs.New(cfg.FS, d),
+		d:     d,
+		files: make(map[uint64]map[int64]*entry),
+		lru:   list.New(),
 	}
 }
 
@@ -152,7 +151,7 @@ func (h *srvAgeHeap) Pop() interface{} {
 func (s *Server) Advance(now int64) {
 	for len(s.ageHp) > 0 && s.ageHp[0].at+s.cfg.WriteBackDelay <= now {
 		e := heap.Pop(&s.ageHp).(srvAgeEntry)
-		b := s.blocks[e.id]
+		b := s.lookup(e.id)
 		if b == nil || !b.dirty || b.inNVRAM || b.firstDirty != e.at {
 			continue
 		}
@@ -184,37 +183,40 @@ func (s *Server) evictOne(now int64) {
 	if e == nil {
 		return
 	}
-	victim := s.blocks[e.Value.(blockID)]
+	victim := e.Value.(*entry)
 	if victim.dirty {
 		s.flushBlock(now, victim)
 	}
 	s.drop(victim)
 }
 
+// lookup returns the cached entry for id, or nil.
+func (s *Server) lookup(id blockID) *entry { return s.files[id.file][id.index] }
+
 // drop removes b from the cache.
 func (s *Server) drop(b *entry) {
 	s.lru.Remove(b.lru)
-	delete(s.blocks, b.id)
 	fb := s.files[b.id.file]
 	delete(fb, b.id.index)
 	if len(fb) == 0 {
 		delete(s.files, b.id.file)
 	}
+	s.nBlocks--
 }
 
 // ensure returns the cached entry (promoted to MRU), creating and
 // evicting as needed.
 func (s *Server) ensure(now int64, id blockID) *entry {
-	if b := s.blocks[id]; b != nil {
+	if b := s.lookup(id); b != nil {
 		s.lru.MoveToFront(b.lru)
 		return b
 	}
-	if len(s.blocks) >= s.capacity() {
+	if s.nBlocks >= s.capacity() {
 		s.evictOne(now)
 	}
 	b := &entry{id: id}
-	b.lru = s.lru.PushFront(id)
-	s.blocks[id] = b
+	b.lru = s.lru.PushFront(b)
+	s.nBlocks++
 	fb := s.files[id.file]
 	if fb == nil {
 		fb = make(map[int64]*entry)
@@ -254,17 +256,18 @@ func (s *Server) Write(now int64, file uint64, off, n int64) {
 	s.drainNVRAMIfSegmentReady(now)
 }
 
-// selectBlocks returns the entries of m (s.blocks, or one file's
-// s.files) matching keep, sorted by (file, index). Map iteration order is
-// randomized per range, but the order blocks enter the file system decides
-// segment layout and so disk access counts; every bulk walk over the
-// cached entries goes through here so a replay is deterministic run to
-// run.
-func selectBlocks[K comparable](m map[K]*entry, keep func(*entry) bool) []*entry {
+// selectBlocks returns the cached entries of the given files matching
+// keep, sorted by (file, index). Map iteration order is randomized per
+// range, but the order blocks enter the file system decides segment layout
+// and so disk access counts; every bulk walk over the cached entries goes
+// through here so a replay is deterministic run to run.
+func selectBlocks(keep func(*entry) bool, files ...map[int64]*entry) []*entry {
 	var picked []*entry
-	for _, b := range m {
-		if keep(b) {
-			picked = append(picked, b)
+	for _, fb := range files {
+		for _, b := range fb {
+			if keep(b) {
+				picked = append(picked, b)
+			}
 		}
 	}
 	sort.Slice(picked, func(i, j int) bool {
@@ -276,6 +279,15 @@ func selectBlocks[K comparable](m map[K]*entry, keep func(*entry) bool) []*entry
 	return picked
 }
 
+// allFiles returns every file's cached entries.
+func (s *Server) allFiles() []map[int64]*entry {
+	all := make([]map[int64]*entry, 0, len(s.files))
+	for _, fb := range s.files {
+		all = append(all, fb)
+	}
+	return all
+}
+
 // drainNVRAMIfSegmentReady moves NVRAM-resident dirty blocks into the file
 // system once a full segment's worth has accumulated, so they reach the
 // disk at full-segment efficiency.
@@ -283,7 +295,7 @@ func (s *Server) drainNVRAMIfSegmentReady(now int64) {
 	per := s.fs.Config().BlocksPerSegment()
 	for s.nNV >= per {
 		moved := 0
-		for _, b := range selectBlocks(s.blocks, func(b *entry) bool { return b.dirty && b.inNVRAM }) {
+		for _, b := range selectBlocks(func(b *entry) bool { return b.dirty && b.inNVRAM }, s.allFiles()...) {
 			s.flushBlock(now, b)
 			moved++
 			if moved >= per {
@@ -303,7 +315,7 @@ func (s *Server) Read(now int64, file uint64, off, n int64) {
 	s.stats.ReadBytes += n
 	for idx := off / s.cfg.BlockSize; idx*s.cfg.BlockSize < off+n; idx++ {
 		id := blockID{file, idx}
-		if b := s.blocks[id]; b != nil {
+		if b := s.lookup(id); b != nil {
 			s.lru.MoveToFront(b.lru)
 			s.stats.ReadHitBytes += s.cfg.BlockSize
 			continue
@@ -322,10 +334,10 @@ func (s *Server) Read(now int64, file uint64, off, n int64) {
 func (s *Server) Fsync(now int64, file uint64) {
 	s.Advance(now)
 	forced := false
-	for _, b := range selectBlocks(s.files[file], func(b *entry) bool {
+	for _, b := range selectBlocks(func(b *entry) bool {
 		// NVRAM-resident blocks are already permanent.
 		return b.dirty && !b.inNVRAM
-	}) {
+	}, s.files[file]) {
 		s.flushBlock(now, b)
 		forced = true
 	}
@@ -341,7 +353,7 @@ func (s *Server) Fsync(now int64, file uint64) {
 // reclaims its on-disk blocks.
 func (s *Server) Delete(now int64, file uint64) {
 	s.Advance(now)
-	for _, b := range selectBlocks(s.files[file], func(*entry) bool { return true }) {
+	for _, b := range selectBlocks(func(*entry) bool { return true }, s.files[file]) {
 		if b.dirty {
 			s.stats.AbsorbedBlocks++
 			if b.inNVRAM {
@@ -357,7 +369,7 @@ func (s *Server) Delete(now int64, file uint64) {
 // Shutdown flushes everything to disk.
 func (s *Server) Shutdown(now int64) {
 	s.Advance(now)
-	for _, b := range selectBlocks(s.blocks, func(b *entry) bool { return b.dirty }) {
+	for _, b := range selectBlocks(func(b *entry) bool { return b.dirty }, s.allFiles()...) {
 		s.flushBlock(now, b)
 	}
 	s.fs.Shutdown(now)
@@ -371,5 +383,5 @@ func (s *Server) NVRAMBlocksHeld() int { return s.nNV }
 
 func (s *Server) String() string {
 	return fmt.Sprintf("server{cache %d/%d blocks, %d dirty, %d in NVRAM}",
-		len(s.blocks), s.capacity(), s.nDirty, s.nNV)
+		s.nBlocks, s.capacity(), s.nDirty, s.nNV)
 }

@@ -175,9 +175,10 @@ func driveProfile(p serverload.Profile, s *Server, d time.Duration) {
 	}, d)
 }
 
-// TestFileIndexMatchesBlocks holds the per-file index to the block map
-// after every op of a seeded mix that evicts, fsyncs and deletes.
-func TestFileIndexMatchesBlocks(t *testing.T) {
+// TestCacheIndexConsistent checks after every op of a seeded mix that
+// evicts, fsyncs and deletes that each cached entry sits under its own
+// file and index, and that the block count and the LRU list agree with it.
+func TestCacheIndexConsistent(t *testing.T) {
 	s := newServer(t, Config{CacheBlocks: 16, NVRAMBlocks: 4})
 	rng := rand.New(rand.NewSource(1))
 	for op := range 3000 {
@@ -196,14 +197,14 @@ func TestFileIndexMatchesBlocks(t *testing.T) {
 		n := 0
 		for f, fb := range s.files {
 			for idx, b := range fb {
-				if b != s.blocks[blockID{f, idx}] || len(fb) == 0 {
-					t.Fatalf("op %d: index entry %d/%d is not the cached block", op, f, idx)
+				if b.id != (blockID{f, idx}) || len(fb) == 0 {
+					t.Fatalf("op %d: entry %v cached as %d/%d", op, b.id, f, idx)
 				}
 				n++
 			}
 		}
-		if n != len(s.blocks) {
-			t.Fatalf("op %d: index holds %d blocks, cache %d", op, n, len(s.blocks))
+		if n != s.nBlocks || n != s.lru.Len() {
+			t.Fatalf("op %d: %d cached blocks, count %d, LRU list %d", op, n, s.nBlocks, s.lru.Len())
 		}
 	}
 }
