@@ -84,13 +84,12 @@ type Server struct {
 	now int64
 
 	// files holds the cached entries by file and index, so Fsync and
-	// Delete visit only the file's blocks; nBlocks counts them.
-	files   map[uint64]map[int64]*entry
-	nBlocks int
-	lru     *list.List // of *entry; front = most recently used
-	nDirty  int
-	nNV     int
-	ageHp   srvAgeHeap
+	// Delete visit only the file's blocks.
+	files  map[uint64]map[int64]*entry
+	lru    *list.List // of every cached *entry; front = most recently used
+	nDirty int
+	nNV    int
+	ageHp  srvAgeHeap
 
 	stats Stats
 }
@@ -201,7 +200,6 @@ func (s *Server) drop(b *entry) {
 	if len(fb) == 0 {
 		delete(s.files, b.id.file)
 	}
-	s.nBlocks--
 }
 
 // ensure returns the cached entry (promoted to MRU), creating and
@@ -211,12 +209,11 @@ func (s *Server) ensure(now int64, id blockID) *entry {
 		s.lru.MoveToFront(b.lru)
 		return b
 	}
-	if s.nBlocks >= s.capacity() {
+	if s.lru.Len() >= s.capacity() {
 		s.evictOne(now)
 	}
 	b := &entry{id: id}
 	b.lru = s.lru.PushFront(b)
-	s.nBlocks++
 	fb := s.files[id.file]
 	if fb == nil {
 		fb = make(map[int64]*entry)
@@ -383,5 +380,5 @@ func (s *Server) NVRAMBlocksHeld() int { return s.nNV }
 
 func (s *Server) String() string {
 	return fmt.Sprintf("server{cache %d/%d blocks, %d dirty, %d in NVRAM}",
-		s.nBlocks, s.capacity(), s.nDirty, s.nNV)
+		s.lru.Len(), s.capacity(), s.nDirty, s.nNV)
 }

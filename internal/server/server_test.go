@@ -177,7 +177,7 @@ func driveProfile(p serverload.Profile, s *Server, d time.Duration) {
 
 // TestCacheIndexConsistent checks after every op of a seeded mix that
 // evicts, fsyncs and deletes that each cached entry sits under its own
-// file and index, and that the block count and the LRU list agree with it.
+// file and index, and that the LRU list holds exactly the cached entries.
 func TestCacheIndexConsistent(t *testing.T) {
 	s := newServer(t, Config{CacheBlocks: 16, NVRAMBlocks: 4})
 	rng := rand.New(rand.NewSource(1))
@@ -196,15 +196,23 @@ func TestCacheIndexConsistent(t *testing.T) {
 		}
 		n := 0
 		for f, fb := range s.files {
+			if len(fb) == 0 {
+				t.Fatalf("op %d: file %d kept with no cached blocks", op, f)
+			}
 			for idx, b := range fb {
-				if b.id != (blockID{f, idx}) || len(fb) == 0 {
+				if b.id != (blockID{f, idx}) {
 					t.Fatalf("op %d: entry %v cached as %d/%d", op, b.id, f, idx)
 				}
 				n++
 			}
 		}
-		if n != s.nBlocks || n != s.lru.Len() {
-			t.Fatalf("op %d: %d cached blocks, count %d, LRU list %d", op, n, s.nBlocks, s.lru.Len())
+		for e := s.lru.Front(); e != nil; e = e.Next() {
+			if b := e.Value.(*entry); s.lookup(b.id) != b || b.lru != e {
+				t.Fatalf("op %d: LRU element %v is not the cached entry", op, b.id)
+			}
+		}
+		if n != s.lru.Len() || n > s.capacity() {
+			t.Fatalf("op %d: %d cached blocks, LRU list %d, capacity %d", op, n, s.lru.Len(), s.capacity())
 		}
 	}
 }
