@@ -259,13 +259,19 @@ func BenchmarkLifetimeAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGeneration generates and canonicalizes trace 1; ns/event
+// divides by the trace's raw event count.
 func BenchmarkTraceGeneration(b *testing.B) {
 	b.ReportAllocs()
+	var events int64
 	for i := 0; i < b.N; i++ {
-		if _, err := StandardTrace(1, benchScale); err != nil {
+		t, err := StandardTrace(1, benchScale)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events = t.Stats().Events
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*events), "ns/event")
 }
 
 // Per-layer microbenchmarks of the daemon's parked write-back path

@@ -14,10 +14,11 @@
 package server
 
 import (
+	"cmp"
 	"container/heap"
 	"container/list"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nvramfs/internal/disk"
 	"nvramfs/internal/lfs"
@@ -72,8 +73,16 @@ type entry struct {
 	id         blockID
 	dirty      bool
 	inNVRAM    bool
+	nvAt       int // position in Server.nv while inNVRAM
 	firstDirty int64
+	file       *fileBlocks   // the file's entries, this one among them
 	lru        *list.Element // position in the LRU list (front = MRU)
+}
+
+// fileBlocks is one file's cached entries.
+type fileBlocks struct {
+	blocks   map[int64]*entry
+	volDirty int // dirty entries outside the NVRAM region
 }
 
 // Server is the simulated file server.
@@ -84,11 +93,12 @@ type Server struct {
 	now int64
 
 	// files holds the cached entries by file and index, so Fsync and
-	// Delete visit only the file's blocks.
-	files  map[uint64]map[int64]*entry
+	// Delete visit only the file's blocks, and Fsync none of them when
+	// the file has no volatile dirty block.
+	files  map[uint64]*fileBlocks
 	lru    *list.List // of every cached *entry; front = most recently used
+	nv     []*entry   // the dirty entries in the NVRAM region, unordered
 	nDirty int
-	nNV    int
 	ageHp  srvAgeHeap
 
 	stats Stats
@@ -111,7 +121,7 @@ func New(cfg Config, d *disk.Disk) *Server {
 		cfg:   cfg,
 		fs:    lfs.New(cfg.FS, d),
 		d:     d,
-		files: make(map[uint64]map[int64]*entry),
+		files: make(map[uint64]*fileBlocks),
 		lru:   list.New(),
 	}
 }
@@ -164,9 +174,19 @@ func (s *Server) Advance(now int64) {
 // clean (it stays cached).
 func (s *Server) flushBlock(now int64, b *entry) {
 	s.fs.Write(now, b.id.file, b.id.index*s.cfg.BlockSize, s.cfg.BlockSize)
+	s.clean(b)
+}
+
+// clean marks the dirty block b clean, taking it out of the NVRAM region
+// or out of its file's volatile dirty count.
+func (s *Server) clean(b *entry) {
 	if b.inNVRAM {
+		last := s.nv[len(s.nv)-1]
+		s.nv[b.nvAt], last.nvAt = last, b.nvAt
+		s.nv = s.nv[:len(s.nv)-1]
 		b.inNVRAM = false
-		s.nNV--
+	} else {
+		b.file.volDirty--
 	}
 	b.dirty = false
 	s.nDirty--
@@ -190,14 +210,18 @@ func (s *Server) evictOne(now int64) {
 }
 
 // lookup returns the cached entry for id, or nil.
-func (s *Server) lookup(id blockID) *entry { return s.files[id.file][id.index] }
+func (s *Server) lookup(id blockID) *entry {
+	if fb := s.files[id.file]; fb != nil {
+		return fb.blocks[id.index]
+	}
+	return nil
+}
 
-// drop removes b from the cache.
+// drop removes the clean block b from the cache.
 func (s *Server) drop(b *entry) {
 	s.lru.Remove(b.lru)
-	fb := s.files[b.id.file]
-	delete(fb, b.id.index)
-	if len(fb) == 0 {
+	delete(b.file.blocks, b.id.index)
+	if len(b.file.blocks) == 0 {
 		delete(s.files, b.id.file)
 	}
 }
@@ -212,14 +236,14 @@ func (s *Server) ensure(now int64, id blockID) *entry {
 	if s.lru.Len() >= s.capacity() {
 		s.evictOne(now)
 	}
-	b := &entry{id: id}
-	b.lru = s.lru.PushFront(b)
 	fb := s.files[id.file]
 	if fb == nil {
-		fb = make(map[int64]*entry)
+		fb = &fileBlocks{blocks: make(map[int64]*entry)}
 		s.files[id.file] = fb
 	}
-	fb[id.index] = b
+	b := &entry{id: id, file: fb}
+	b.lru = s.lru.PushFront(b)
+	fb.blocks[id.index] = b
 	return b
 }
 
@@ -240,12 +264,14 @@ func (s *Server) Write(now int64, file uint64, off, n int64) {
 		}
 		b.dirty = true
 		s.nDirty++
-		if s.cfg.NVRAMBlocks > 0 && s.nNV < s.cfg.NVRAMBlocks {
+		if len(s.nv) < s.cfg.NVRAMBlocks {
 			// Permanent immediately; exempt from the age flush.
 			b.inNVRAM = true
-			s.nNV++
+			b.nvAt = len(s.nv)
+			s.nv = append(s.nv, b)
 			s.stats.NVRAMBlocksIn++
 		} else {
+			b.file.volDirty++
 			b.firstDirty = now
 			heap.Push(&s.ageHp, srvAgeEntry{at: now, id: id})
 		}
@@ -254,31 +280,37 @@ func (s *Server) Write(now int64, file uint64, off, n int64) {
 }
 
 // selectBlocks returns the cached entries of the given files matching
-// keep, sorted by (file, index). Map iteration order is randomized per
-// range, but the order blocks enter the file system decides segment layout
-// and so disk access counts; every bulk walk over the cached entries goes
-// through here so a replay is deterministic run to run.
-func selectBlocks(keep func(*entry) bool, files ...map[int64]*entry) []*entry {
+// keep, in sortBlocks order.
+func selectBlocks(keep func(*entry) bool, files ...*fileBlocks) []*entry {
 	var picked []*entry
 	for _, fb := range files {
-		for _, b := range fb {
+		for _, b := range fb.blocks {
 			if keep(b) {
 				picked = append(picked, b)
 			}
 		}
 	}
-	sort.Slice(picked, func(i, j int) bool {
-		if picked[i].id.file != picked[j].id.file {
-			return picked[i].id.file < picked[j].id.file
+	return sortBlocks(picked)
+}
+
+// sortBlocks sorts blocks by (file, index). Map iteration order is
+// randomized per range, but the order blocks enter the file system decides
+// segment layout and so disk access counts; every bulk walk that hands
+// blocks to the file system goes through here so a replay is
+// deterministic run to run.
+func sortBlocks(blocks []*entry) []*entry {
+	slices.SortFunc(blocks, func(a, b *entry) int {
+		if c := cmp.Compare(a.id.file, b.id.file); c != 0 {
+			return c
 		}
-		return picked[i].id.index < picked[j].id.index
+		return cmp.Compare(a.id.index, b.id.index)
 	})
-	return picked
+	return blocks
 }
 
 // allFiles returns every file's cached entries.
-func (s *Server) allFiles() []map[int64]*entry {
-	all := make([]map[int64]*entry, 0, len(s.files))
+func (s *Server) allFiles() []*fileBlocks {
+	all := make([]*fileBlocks, 0, len(s.files))
 	for _, fb := range s.files {
 		all = append(all, fb)
 	}
@@ -287,20 +319,12 @@ func (s *Server) allFiles() []map[int64]*entry {
 
 // drainNVRAMIfSegmentReady moves NVRAM-resident dirty blocks into the file
 // system once a full segment's worth has accumulated, so they reach the
-// disk at full-segment efficiency.
+// disk at full-segment efficiency. It sorts only the region's entries.
 func (s *Server) drainNVRAMIfSegmentReady(now int64) {
 	per := s.fs.Config().BlocksPerSegment()
-	for s.nNV >= per {
-		moved := 0
-		for _, b := range selectBlocks(func(b *entry) bool { return b.dirty && b.inNVRAM }, s.allFiles()...) {
+	for len(s.nv) >= per {
+		for _, b := range sortBlocks(slices.Clone(s.nv))[:per] {
 			s.flushBlock(now, b)
-			moved++
-			if moved >= per {
-				break
-			}
-		}
-		if moved == 0 {
-			return
 		}
 	}
 }
@@ -330,15 +354,14 @@ func (s *Server) Read(now int64, file uint64, off, n int64) {
 // measures).
 func (s *Server) Fsync(now int64, file uint64) {
 	s.Advance(now)
-	forced := false
-	for _, b := range selectBlocks(func(b *entry) bool {
-		// NVRAM-resident blocks are already permanent.
-		return b.dirty && !b.inNVRAM
-	}, s.files[file]) {
-		s.flushBlock(now, b)
-		forced = true
-	}
-	if forced {
+	fb := s.files[file]
+	if fb != nil && fb.volDirty > 0 {
+		for _, b := range selectBlocks(func(b *entry) bool {
+			// NVRAM-resident blocks are already permanent.
+			return b.dirty && !b.inNVRAM
+		}, fb) {
+			s.flushBlock(now, b)
+		}
 		s.stats.FsyncsForced++
 		s.fs.Fsync(now, file)
 	} else {
@@ -347,18 +370,18 @@ func (s *Server) Fsync(now int64, file uint64) {
 }
 
 // Delete removes a file: cached dirty blocks die, and the file system
-// reclaims its on-disk blocks.
+// reclaims its on-disk blocks. Nothing here reaches the file system block
+// by block, so the walk needs no order.
 func (s *Server) Delete(now int64, file uint64) {
 	s.Advance(now)
-	for _, b := range selectBlocks(func(*entry) bool { return true }, s.files[file]) {
-		if b.dirty {
-			s.stats.AbsorbedBlocks++
-			if b.inNVRAM {
-				s.nNV--
+	if fb := s.files[file]; fb != nil {
+		for _, b := range fb.blocks {
+			if b.dirty {
+				s.stats.AbsorbedBlocks++
+				s.clean(b)
 			}
-			s.nDirty--
+			s.drop(b)
 		}
-		s.drop(b)
 	}
 	s.fs.Delete(now, file)
 }
@@ -376,9 +399,9 @@ func (s *Server) Shutdown(now int64) {
 func (s *Server) DirtyBlocks() int { return s.nDirty }
 
 // NVRAMBlocksHeld returns dirty blocks currently in the NVRAM region.
-func (s *Server) NVRAMBlocksHeld() int { return s.nNV }
+func (s *Server) NVRAMBlocksHeld() int { return len(s.nv) }
 
 func (s *Server) String() string {
 	return fmt.Sprintf("server{cache %d/%d blocks, %d dirty, %d in NVRAM}",
-		s.lru.Len(), s.capacity(), s.nDirty, s.nNV)
+		s.lru.Len(), s.capacity(), s.nDirty, len(s.nv))
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nvramfs/internal/disk"
+	"nvramfs/internal/lfs"
 	"nvramfs/internal/serverload"
 )
 
@@ -176,17 +177,25 @@ func driveProfile(p serverload.Profile, s *Server, d time.Duration) {
 }
 
 // TestCacheIndexConsistent checks after every op of a seeded mix that
-// evicts, fsyncs and deletes that each cached entry sits under its own
-// file and index, and that the LRU list holds exactly the cached entries.
+// evicts, fsyncs, deletes and drains the NVRAM region that each cached
+// entry sits under its own file and index, that the LRU list holds
+// exactly the cached entries, and that the NVRAM set and each file's
+// volatile dirty count match a recount of the entries.
 func TestCacheIndexConsistent(t *testing.T) {
-	s := newServer(t, Config{CacheBlocks: 16, NVRAMBlocks: 4})
+	s := newServer(t, Config{CacheBlocks: 16, NVRAMBlocks: 4, FS: lfs.Config{SegmentSize: 24 * kb}})
+	if per := s.FS().Config().BlocksPerSegment(); per < 1 || per > 4 {
+		t.Fatalf("%d blocks per segment: the NVRAM region never drains", per)
+	}
 	rng := rand.New(rand.NewSource(1))
+	var drains int64
 	for op := range 3000 {
 		now := int64(op) * sec / 10
 		file, off := uint64(1+rng.Intn(4)), rng.Int63n(32)*4*kb
 		switch rng.Intn(6) {
 		case 0, 1, 2:
+			before := s.FS().Stats().FullSegments
 			s.Write(now, file, off, 1+rng.Int63n(12*kb))
+			drains += s.FS().Stats().FullSegments - before
 		case 3:
 			s.Read(now, file, off, 1+rng.Int63n(12*kb))
 		case 4:
@@ -194,17 +203,35 @@ func TestCacheIndexConsistent(t *testing.T) {
 		case 5:
 			s.Delete(now, file)
 		}
-		n := 0
+		n, nv := 0, 0
 		for f, fb := range s.files {
-			if len(fb) == 0 {
+			if len(fb.blocks) == 0 {
 				t.Fatalf("op %d: file %d kept with no cached blocks", op, f)
 			}
-			for idx, b := range fb {
-				if b.id != (blockID{f, idx}) {
+			volDirty := 0
+			for idx, b := range fb.blocks {
+				if b.id != (blockID{f, idx}) || b.file != fb {
 					t.Fatalf("op %d: entry %v cached as %d/%d", op, b.id, f, idx)
+				}
+				switch {
+				case b.dirty && b.inNVRAM:
+					if b.nvAt >= len(s.nv) || s.nv[b.nvAt] != b {
+						t.Fatalf("op %d: NVRAM entry %v not at its place %d in the set", op, b.id, b.nvAt)
+					}
+					nv++
+				case b.dirty:
+					volDirty++
+				case b.inNVRAM:
+					t.Fatalf("op %d: clean entry %v marked as in the NVRAM region", op, b.id)
 				}
 				n++
 			}
+			if volDirty != fb.volDirty {
+				t.Fatalf("op %d: file %d counts %d volatile dirty blocks, recount %d", op, f, fb.volDirty, volDirty)
+			}
+		}
+		if nv != len(s.nv) || nv > s.cfg.NVRAMBlocks {
+			t.Fatalf("op %d: NVRAM set holds %d, recount %d, region %d", op, len(s.nv), nv, s.cfg.NVRAMBlocks)
 		}
 		for e := s.lru.Front(); e != nil; e = e.Next() {
 			if b := e.Value.(*entry); s.lookup(b.id) != b || b.lru != e {
@@ -214,5 +241,8 @@ func TestCacheIndexConsistent(t *testing.T) {
 		if n != s.lru.Len() || n > s.capacity() {
 			t.Fatalf("op %d: %d cached blocks, LRU list %d, capacity %d", op, n, s.lru.Len(), s.capacity())
 		}
+	}
+	if drains == 0 {
+		t.Fatal("the NVRAM region never drained a segment")
 	}
 }

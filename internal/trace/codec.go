@@ -43,7 +43,7 @@ var ErrBadMagic = errors.New("trace: bad magic (not a trace file)")
 type Writer struct {
 	w        *bufio.Writer
 	lastTime int64
-	buf      [binary.MaxVarintLen64]byte
+	scratch  [maxEventLen]byte // encodes an event when the buffer is nearly full
 	count    int64
 	closed   bool
 }
@@ -52,31 +52,23 @@ type Writer struct {
 // events in non-decreasing time order.
 func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
+	hdr := append([]byte(nil), magic[:]...)
+	hdr = binary.AppendUvarint(hdr, formatVersion)
+	hdr = binary.AppendUvarint(hdr, uint64(len(h.Name)))
+	hdr = append(hdr, h.Name...)
+	hdr = binary.AppendUvarint(hdr, uint64(h.Clients))
+	hdr = binary.AppendUvarint(hdr, uint64(h.Duration/time.Microsecond))
+	hdr = binary.AppendVarint(hdr, h.Seed)
+	if _, err := bw.Write(hdr); err != nil {
 		return nil, err
 	}
-	tw := &Writer{w: bw}
-	tw.uvarint(formatVersion)
-	tw.uvarint(uint64(len(h.Name)))
-	bw.WriteString(h.Name)
-	tw.uvarint(uint64(h.Clients))
-	tw.uvarint(uint64(h.Duration / time.Microsecond))
-	tw.varint(h.Seed)
-	return tw, bw.Flush()
-}
-
-func (tw *Writer) uvarint(v uint64) {
-	n := binary.PutUvarint(tw.buf[:], v)
-	tw.w.Write(tw.buf[:n])
-}
-
-func (tw *Writer) varint(v int64) {
-	n := binary.PutVarint(tw.buf[:], v)
-	tw.w.Write(tw.buf[:n])
+	return &Writer{w: bw}, bw.Flush()
 }
 
 // Write appends one event. Events must be supplied in non-decreasing time
-// order.
+// order. The event is encoded straight into the buffered writer's free
+// space and handed over with one Write; a write error sticks in the
+// buffered writer and is returned by Close.
 func (tw *Writer) Write(e Event) error {
 	if tw.closed {
 		return errors.New("trace: write after Close")
@@ -87,20 +79,12 @@ func (tw *Writer) Write(e Event) error {
 	if e.Time < tw.lastTime {
 		return fmt.Errorf("trace: event time %d before previous %d", e.Time, tw.lastTime)
 	}
-	tw.uvarint(uint64(e.Time - tw.lastTime))
-	tw.lastTime = e.Time
-	tw.w.WriteByte(byte(e.Op))
-	tw.uvarint(uint64(e.Client))
-	tw.uvarint(e.File)
-	tw.uvarint(uint64(e.Offset))
-	switch e.Op {
-	case OpRead, OpWrite:
-		tw.uvarint(uint64(e.Length))
-	case OpOpen:
-		tw.w.WriteByte(e.Flags)
-	case OpMigrate:
-		tw.uvarint(uint64(e.Target))
+	buf := tw.w.AvailableBuffer()
+	if cap(buf) < maxEventLen {
+		buf = tw.scratch[:0]
 	}
+	tw.w.Write(appendEvent(buf, uint64(e.Time-tw.lastTime), e))
+	tw.lastTime = e.Time
 	tw.count++
 	return nil
 }
@@ -115,8 +99,7 @@ func (tw *Writer) Close() error {
 		return nil
 	}
 	tw.closed = true
-	tw.uvarint(0) // dt of terminator (ignored)
-	tw.w.WriteByte(0)
+	tw.w.Write([]byte{0, 0}) // dt of terminator (ignored), then op 0
 	return tw.w.Flush()
 }
 

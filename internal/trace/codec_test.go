@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -214,6 +215,74 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterBodyIsFrames pins the file format to the frame format: each
+// event's bytes in a trace file are exactly its AppendEvent frame with
+// the time delta from the previous event in the time field, since both
+// go through one encoder. The stream overruns the writer's buffer
+// several times and ends with every field at its widest.
+func TestWriterBodyIsFrames(t *testing.T) {
+	events := randEvents(rand.New(rand.NewSource(7)), 30000)
+	last := events[len(events)-1].Time
+	events = append(events,
+		Event{Time: last + 1<<40, Client: math.MaxUint32, Op: OpWrite, File: math.MaxUint64, Offset: math.MaxInt64 / 2, Length: math.MaxInt64 / 2},
+		Event{Time: math.MaxInt64, Client: math.MaxUint32, Op: OpMigrate, File: math.MaxUint64, Offset: math.MaxInt64, Target: math.MaxUint32},
+	)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Name: "frames", Clients: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := buf.Len()
+	for _, e := range events {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[header:]
+	var prev int64
+	for i, e := range events {
+		delta := e
+		delta.Time = e.Time - prev
+		prev = e.Time
+		frame := AppendEvent(nil, delta)
+		if !bytes.HasPrefix(body, frame) {
+			t.Fatalf("event %d (%v): file body %x, frame %x", i, e, body[:min(len(body), len(frame))], frame)
+		}
+		body = body[len(frame):]
+	}
+	if !bytes.Equal(body, []byte{0, 0}) {
+		t.Fatalf("stream ends %x, want the terminator 0000", body)
+	}
+}
+
+// TestWriterWriteAllocs holds Writer.Write to no allocations: an event
+// is encoded into the buffered writer's free space, or into the Writer's
+// own array when that space runs short, never into a fresh slice. One
+// run writes enough events to refill the buffer several times.
+func TestWriterWriteAllocs(t *testing.T) {
+	events := randEvents(rand.New(rand.NewSource(1)), 20000)
+	w, err := NewWriter(io.Discard, Header{Name: "allocs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base int64
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, e := range events {
+			e.Time += base
+			if err := w.Write(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base += events[len(events)-1].Time
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations writing %d events, want 0", allocs, len(events))
+	}
+}
+
 func BenchmarkCodecWrite(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	events := randEvents(rng, 10000)
@@ -229,4 +298,5 @@ func BenchmarkCodecWrite(b *testing.B) {
 		w.Close()
 		b.SetBytes(int64(buf.Len()))
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }

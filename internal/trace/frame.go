@@ -15,7 +15,18 @@ import (
 // AppendEvent appends e's frame encoding to dst and returns the extended
 // slice. The event must be valid (Validate); AppendEvent does not check.
 func AppendEvent(dst []byte, e Event) []byte {
-	dst = binary.AppendUvarint(dst, uint64(e.Time))
+	return appendEvent(dst, uint64(e.Time), e)
+}
+
+// maxEventLen bounds one encoded event: the time field, the op byte, the
+// client, file and offset, and the longest per-op field (a length).
+const maxEventLen = binary.MaxVarintLen64 + 1 + binary.MaxVarintLen32 + 3*binary.MaxVarintLen64
+
+// appendEvent appends one event body with t in its time field: the
+// absolute time in a frame, the delta from the previous event in a file.
+// It is the only encoder of an event's fields.
+func appendEvent(dst []byte, t uint64, e Event) []byte {
+	dst = binary.AppendUvarint(dst, t)
 	dst = append(dst, byte(e.Op))
 	dst = binary.AppendUvarint(dst, uint64(e.Client))
 	dst = binary.AppendUvarint(dst, e.File)

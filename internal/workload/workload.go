@@ -3,6 +3,7 @@ package workload
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -100,14 +101,15 @@ type ActorConfig struct {
 // implementing trace.EventSource. Actors are stepped lazily through the
 // scheduling heap; each step may emit a burst of events spanning simulated
 // time (a compile writing temporaries that are deleted seconds later), so
-// emitted events wait in a small pending heap ordered by (time, emission
-// sequence) and are released only once no un-stepped actor could produce
-// an earlier one. Every behavior emits at or after its step time, so the
-// release point is the scheduling heap's minimum: the delivered order is
-// byte-identical to generating everything and stably sorting by timestamp,
-// while the pending buffer stays bounded by the actors' burst lookahead
-// (tens of minutes of simulated time, a few thousand events) instead of
-// the whole trace.
+// emitted events wait in a pending queue (a min-heap of (time, emission
+// sequence) keys over a slab of events) and are released only once no
+// un-stepped actor could produce an earlier one. Every behavior emits at
+// or after its step time, so the release point is the scheduling heap's
+// minimum. The keys are unique, so the queue releases events in exactly
+// the order that generating everything and stably sorting by timestamp
+// would, while the pending set stays bounded by the actors' burst
+// lookahead (about 150 events on average and under a thousand at most on
+// the standard traces) instead of the whole trace.
 type Cursor struct {
 	g     *generator
 	queue actorQueue
@@ -157,9 +159,9 @@ func (c *Cursor) Next() (trace.Event, bool, error) {
 		// the queue pops in non-decreasing time order, so any event emitted
 		// later carries a later (or equal, with a larger sequence number —
 		// i.e. stably after) timestamp than the queue's minimum.
-		if len(c.g.pending) > 0 &&
-			(c.queue.Len() == 0 || c.g.pending[0].e.Time <= c.queue[0].when) {
-			e := c.g.pending.pop().e
+		if c.g.pending.len() > 0 &&
+			(c.queue.Len() == 0 || c.g.pending.minTime() <= c.queue[0].when) {
+			e := c.g.pending.pop()
 			c.count++
 			return e, true, nil
 		}
@@ -205,10 +207,10 @@ func Generate(p Profile, emit func(trace.Event) error) (int64, error) {
 
 // generator carries shared state for one trace synthesis run.
 type generator struct {
-	pending eventHeap
+	pending pendingQueue
 	horizon int64 // trace end, microseconds
 	nextID  uint64
-	seq     int64 // emission sequence, the stable-sort tiebreak
+	seq     uint64 // emission sequence, the stable-sort tiebreak
 }
 
 // newFile allocates a cluster-wide file id.
@@ -223,67 +225,110 @@ func (g *generator) add(e trace.Event) {
 	if e.Time >= g.horizon {
 		return
 	}
-	g.pending.push(pendingEvent{e: e, seq: g.seq})
+	g.pending.push(e, g.seq)
 	g.seq++
 }
 
-// pendingEvent is an emitted-but-undelivered event; seq preserves emission
-// order among equal timestamps, exactly as a stable sort would.
-type pendingEvent struct {
-	e   trace.Event
-	seq int64
+// slotBits is the width of a pending key's slab slot; the emission
+// sequence takes the 40 bits above it, room for 2^40 events per trace.
+const slotBits = 24
+
+// pendingKey orders one pending event by (time, emission sequence). The
+// sequence sits in tag's high bits and the event's slab slot in its low
+// slotBits; sequences are unique, so the slot never decides an order,
+// it only says where the event waits.
+type pendingKey struct {
+	time int64
+	tag  uint64
 }
 
-// eventHeap is a min-heap of pending events by (time, emission sequence).
-// Its typed push and pop sift exactly as container/heap does, without
-// boxing each event into an interface; (time, seq) keys are unique, so the
-// pop order is the key order whatever the sift.
-type eventHeap []pendingEvent
+// before is 1 when k orders before o and 0 otherwise: the borrow out of
+// the 128-bit subtraction (k.time, k.tag) - (o.time, o.tag). Event times
+// are never negative, so comparing them unsigned is exact.
+func (k pendingKey) before(o pendingKey) int {
+	_, borrow := bits.Sub64(k.tag, o.tag, 0)
+	_, borrow = bits.Sub64(uint64(k.time), uint64(o.time), borrow)
+	return int(borrow)
+}
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].e.Time != h[j].e.Time {
-		return h[i].e.Time < h[j].e.Time
+// pendingQueue holds the emitted-but-undelivered events: the events in a
+// slab whose freed slots a free list hands out again, and a binary
+// min-heap of their 16-byte keys. A sift moves keys, not events, and
+// moves a hole instead of swapping.
+type pendingQueue struct {
+	keys []pendingKey
+	slab []trace.Event
+	free []uint32
+}
+
+func (q *pendingQueue) len() int { return len(q.keys) }
+
+// minTime is the earliest pending event's time; the queue must not be
+// empty.
+func (q *pendingQueue) minTime() int64 { return q.keys[0].time }
+
+// push adds e, emitted seq-th, and sifts its key up.
+func (q *pendingQueue) push(e trace.Event, seq uint64) {
+	var slot uint32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = e
+	} else {
+		if len(q.slab) == 1<<slotBits {
+			panic("workload: more than 2^24 events pending")
+		}
+		slot = uint32(len(q.slab))
+		q.slab = append(q.slab, e)
 	}
-	return h[i].seq < h[j].seq
-}
-
-// push adds e and sifts it up.
-func (h *eventHeap) push(e pendingEvent) {
-	*h = append(*h, e)
-	s := *h
-	for j := len(s) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if !s.less(j, i) {
+	k := pendingKey{time: e.Time, tag: seq<<slotBits | uint64(slot)}
+	h := append(q.keys, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if k.before(h[p]) == 0 {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
-		j = i
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = k
+	q.keys = h
 }
 
-// pop removes and returns the minimum: the last element replaces the
-// root and sifts down, as in container/heap.Pop.
-func (h *eventHeap) pop() pendingEvent {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && s.less(r, j) {
-			j = r
-		}
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
+// pop removes and returns the earliest event; the queue must not be
+// empty. The hole at the root walks down to a leaf along the smaller
+// child, chosen by the compare's borrow rather than a branch, and the
+// last key sifts up from there. The last key is among the largest, so
+// that climb is short, and the walk down needs one compare per level
+// instead of two.
+func (q *pendingQueue) pop() trace.Event {
+	h := q.keys
+	slot := uint32(h[0].tag & (1<<slotBits - 1))
+	n := len(h) - 1
+	last := h[n]
+	i := 0
+	for j := 1; j+1 < n; j = 2*i + 1 {
+		j += h[j+1].before(h[j])
+		h[i] = h[j]
 		i = j
 	}
-	e := s[n]
-	*h = s[:n]
-	return e
+	if j := 2*i + 1; j < n {
+		h[i] = h[j]
+		i = j
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if last.before(h[p]) == 0 {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = last
+	q.keys = h[:n]
+	q.free = append(q.free, slot)
+	return q.slab[slot]
 }
 
 // actorQueue is a min-heap of actors ordered by next action time.

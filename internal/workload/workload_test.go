@@ -194,10 +194,10 @@ func TestStandardProfilePanicsOutOfRange(t *testing.T) {
 }
 
 // TestCursorAllocsPerEvent pins the generator's allocations per event.
-// The pending-event heap's typed push and pop allocate nothing: what is
-// left (about 0.002 per event) is actor setup and slice growth. Through
-// container/heap every event cost two allocations, one boxing it on
-// Push and one on Pop.
+// The pending queue's key heap, event slab and free list reuse their
+// slots, so a push or pop allocates nothing once they have grown to the
+// largest pending set: what is left (about 0.002 per event) is actor
+// setup and that growth.
 func TestCursorAllocsPerEvent(t *testing.T) {
 	p := StandardProfile(7, 0.02)
 	var n int64
