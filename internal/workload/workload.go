@@ -159,8 +159,8 @@ func (c *Cursor) Next() (trace.Event, bool, error) {
 		// the queue pops in non-decreasing time order, so any event emitted
 		// later carries a later (or equal, with a larger sequence number —
 		// i.e. stably after) timestamp than the queue's minimum.
-		if c.g.pending.len() > 0 &&
-			(c.queue.Len() == 0 || c.g.pending.minTime() <= c.queue[0].when) {
+		if pq := &c.g.pending; len(pq.keys) > 0 &&
+			(c.queue.Len() == 0 || pq.keys[0].time <= c.queue[0].when) {
 			e := c.g.pending.pop()
 			c.count++
 			return e, true, nil
@@ -260,12 +260,6 @@ type pendingQueue struct {
 	slab []trace.Event
 	free []uint32
 }
-
-func (q *pendingQueue) len() int { return len(q.keys) }
-
-// minTime is the earliest pending event's time; the queue must not be
-// empty.
-func (q *pendingQueue) minTime() int64 { return q.keys[0].time }
 
 // push adds e, emitted seq-th, and sifts its key up.
 func (q *pendingQueue) push(e trace.Event, seq uint64) {
