@@ -63,6 +63,7 @@ go test -count=1 -run 'TestGoldenOutput/j1' ./cmd/nvreport
 # bytes that stalled the 20 s budget after a few dozen runs, so it is 1 s.
 go test -run '^$' -fuzz '^FuzzBroadcastMatchesRuns$' -fuzztime 20s -fuzzminimizetime 1s ./internal/sim
 go test -run '^$' -fuzz '^FuzzCacheModels$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cache
+go test -run '^$' -fuzz '^FuzzPendingQueue$' -fuzztime 10s -fuzzminimizetime 1s ./internal/workload
 
 # The report package simulates every figure's grid at test scale several
 # times over (the golden render at one and eight workers, the call-order
