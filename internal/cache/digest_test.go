@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,11 +30,16 @@ type digestCase struct {
 	dirtyPref bool
 	seed      int64
 	advance   bool // the mix's last slot runs the cleaner, not Invalidate
+	chain     bool // drive chainMix instead of randomMix
 }
 
 func (c digestCase) String() string {
-	return fmt.Sprintf("%v/%v/vol%d/nv%d/pref=%t/seed%d/advance=%t",
+	s := fmt.Sprintf("%v/%v/vol%d/nv%d/pref=%t/seed%d/advance=%t",
 		c.kind, c.pol, c.vol, c.nv, c.dirtyPref, c.seed, c.advance)
+	if c.chain {
+		s += "/chain"
+	}
+	return s
 }
 
 // digestCases covers every organization under every policy it allows, on
@@ -60,13 +66,62 @@ func digestCases() []digestCase {
 			for _, s := range o.shapes {
 				for seed := int64(0); seed < 3; seed++ {
 					for _, advance := range []bool{false, true} {
-						cases = append(cases, digestCase{o.kind, pol, s.vol, s.nv, s.dirtyPref, seed, advance})
+						cases = append(cases, digestCase{o.kind, pol, s.vol, s.nv, s.dirtyPref, seed, advance, false})
 					}
 				}
 			}
 		}
 	}
+	// chainMix's files outgrow these pools only together, so each file's
+	// chain grows long before evictions start.
+	for _, s := range []struct {
+		kind    ModelKind
+		vol, nv int
+	}{{ModelVolatile, 64, 0}, {ModelWriteAside, 64, 32}, {ModelUnified, 32, 64}, {ModelHybrid, 32, 32}} {
+		for seed := int64(0); seed < 2; seed++ {
+			for _, advance := range []bool{false, true} {
+				cases = append(cases, digestCase{s.kind, LRU, s.vol, s.nv, false, seed, advance, true})
+			}
+		}
+	}
 	return cases
+}
+
+// chainBlocks is the number of blocks of each file chainMix writes.
+const chainBlocks = 48
+
+// chainMix writes each of three files a block at a time, in descending
+// block order on even rounds and in a seeded random order on odd ones,
+// so a file's chain is built by inserts below its tail: in descending
+// order each block's right neighbour is cached, in random order often
+// neither neighbour is. Reads, partial deletes, and a fsync, flush or
+// last-slot op after each file's pass keep the chains changing under it.
+func chainMix(seed int64) []mixOp {
+	rng := rand.New(rand.NewSource(seed))
+	var x mixer
+	order := make([]int64, chainBlocks)
+	for round := range 4 {
+		for file := uint64(1); file <= 3; file++ {
+			for i := range order {
+				order[i] = chainBlocks - 1 - int64(i)
+			}
+			if round%2 == 1 {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			}
+			for _, idx := range order {
+				start := idx*mixBlockSize + rng.Int63n(mixBlockSize/2)
+				x.add(1+rng.Int63n(1e6), file, start, 1+rng.Int63n(mixBlockSize/2), 0)
+				switch rng.Intn(16) {
+				case 0, 1:
+					x.add(1+rng.Int63n(1e6), 1+uint64(rng.Intn(3)), rng.Int63n(chainBlocks*mixBlockSize), 1+rng.Int63n(2*mixBlockSize), 4)
+				case 2:
+					x.add(1+rng.Int63n(1e6), file, rng.Int63n(chainBlocks*mixBlockSize), 1+rng.Int63n(4*mixBlockSize), 7)
+				}
+			}
+			x.add(1+rng.Int63n(1e6), file, 0, 0, 9+rng.Intn(3))
+		}
+	}
+	return x.ops
 }
 
 // digest runs the case's mix and hashes, after every op, the traffic
@@ -74,6 +129,9 @@ func digestCases() []digestCase {
 // call the op made, then the final stateOf.
 func (c digestCase) digest(t *testing.T) string {
 	ops := randomMix(c.seed, 2000)
+	if c.chain {
+		ops = chainMix(c.seed)
+	}
 	h := sha256.New()
 	m, err := NewModel(c.kind, Config{
 		BlockSize:       mixBlockSize,
