@@ -194,10 +194,10 @@ func TestStandardProfilePanicsOutOfRange(t *testing.T) {
 }
 
 // TestCursorAllocsPerEvent pins the generator's allocations per event.
-// The pending queue's key heap, event slab and free list reuse their
-// slots, so a push or pop allocates nothing once they have grown to the
-// largest pending set: what is left (about 0.002 per event) is actor
-// setup and that growth.
+// The pending queue keeps a drained run's buffer for the next run it
+// opens, and its run heap and free list reuse their slots, so a push or
+// pop allocates nothing once the buffers have grown to the longest runs:
+// what is left (about 0.003 per event) is actor setup and that growth.
 func TestCursorAllocsPerEvent(t *testing.T) {
 	p := StandardProfile(7, 0.02)
 	var n int64
