@@ -84,13 +84,25 @@ func (p *Pool) Put(b *Block, now int64) {
 }
 
 // chainInsert links b into its file's chain at the slot keeping the chain
-// sorted by block index. Sequential writes append past the tail, so the
-// backward walk from the tail is O(1) for the common case.
+// sorted by block index. Sequential writes append past the tail, so that
+// case is O(1). Below the tail, a cached neighbour block Index-1 or
+// Index+1 says where b goes with one index probe each (b is already in
+// the block index, the neighbours are in b's chain, and indexes are
+// unique, so b goes right after the one or right before the other); only
+// when neither is cached does the insert walk back from the tail.
 func (p *Pool) chainInsert(b *Block) {
 	c := p.files.ensure(b.ID.File)
 	after := c.tail
-	for after != nil && after.ID.Index > b.ID.Index {
-		after = after.filePrev
+	if after != nil && after.ID.Index > b.ID.Index {
+		if prev := p.blocks.get(BlockID{File: b.ID.File, Index: b.ID.Index - 1}); prev != nil {
+			after = prev
+		} else if next := p.blocks.get(BlockID{File: b.ID.File, Index: b.ID.Index + 1}); next != nil {
+			after = next.filePrev
+		} else {
+			for after != nil && after.ID.Index > b.ID.Index {
+				after = after.filePrev
+			}
+		}
 	}
 	if after == nil {
 		b.fileNext = c.head
