@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -118,157 +119,88 @@ type Reader struct {
 // the first event.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, ErrBadMagic
-	}
-	ver, err := binary.ReadUvarint(br)
+	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	if ver != formatVersion {
-		return nil, fmt.Errorf("trace: unsupported format version %d", ver)
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	clients, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	durUS, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := binary.ReadVarint(br)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{
-		r: br,
-		header: Header{
-			Name:     string(name),
-			Clients:  int(clients),
-			Duration: time.Duration(durUS) * time.Microsecond,
-			Seed:     seed,
-		},
-	}, nil
+	return &Reader{r: br, header: h}, nil
 }
 
 // NewBytesReader returns a Reader decoding an in-memory encoded trace.
-// It produces exactly the stream NewReader would, but reads varints
+// It produces exactly the stream NewReader would, but decodes events
 // straight off the slice instead of through per-byte io.ByteReader
 // calls.
 func NewBytesReader(data []byte) (*Reader, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
-		return nil, ErrBadMagic
-	}
-	tr := &Reader{data: data, pos: len(magic)}
-	ver, err := tr.uvarintSlice()
+	br := bytes.NewReader(data)
+	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
+	}
+	return &Reader{data: data, pos: len(data) - br.Len(), header: h}, nil
+}
+
+// readHeader reads the magic and the header fields from r.
+func readHeader(r interface {
+	io.Reader
+	io.ByteReader
+}) (Header, error) {
+	var m [4]byte
+	if _, err := io.ReadFull(r, m[:]); err != nil {
+		return Header{}, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if m != magic {
+		return Header{}, ErrBadMagic
+	}
+	ver, err := binary.ReadUvarint(r)
+	if err != nil {
+		return Header{}, err
 	}
 	if ver != formatVersion {
-		return nil, fmt.Errorf("trace: unsupported format version %d", ver)
+		return Header{}, fmt.Errorf("trace: unsupported format version %d", ver)
 	}
-	nameLen, err := tr.uvarintSlice()
+	nameLen, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return Header{}, err
 	}
 	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
+		return Header{}, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
-	if uint64(len(data)-tr.pos) < nameLen {
-		return nil, io.ErrUnexpectedEOF
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(r, name); err != nil {
+		return Header{}, err
 	}
-	name := string(data[tr.pos : tr.pos+int(nameLen)])
-	tr.pos += int(nameLen)
-	clients, err := tr.uvarintSlice()
+	clients, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return Header{}, err
 	}
-	durUS, err := tr.uvarintSlice()
+	durUS, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return Header{}, err
 	}
-	seed, err := tr.varintSlice()
+	seed, err := binary.ReadVarint(r)
 	if err != nil {
-		return nil, err
+		return Header{}, err
 	}
-	tr.header = Header{
-		Name:     name,
+	return Header{
+		Name:     string(name),
 		Clients:  int(clients),
 		Duration: time.Duration(durUS) * time.Microsecond,
 		Seed:     seed,
-	}
-	return tr, nil
+	}, nil
 }
 
-// uvarintSlice decodes the next uvarint from the slice; one-byte values
-// (the overwhelmingly common case for delta times and field values) stay
-// on the inlined fast path.
-func (tr *Reader) uvarintSlice() (uint64, error) {
-	if tr.pos < len(tr.data) {
-		if b := tr.data[tr.pos]; b < 0x80 {
-			tr.pos++
-			return uint64(b), nil
-		}
-	}
-	v, n := binary.Uvarint(tr.data[tr.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	tr.pos += n
-	return v, nil
-}
-
-func (tr *Reader) varintSlice() (int64, error) {
-	v, n := binary.Varint(tr.data[tr.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	tr.pos += n
-	return v, nil
-}
-
-func (tr *Reader) byteSlice() (byte, error) {
-	if tr.pos >= len(tr.data) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := tr.data[tr.pos]
-	tr.pos++
-	return b, nil
-}
-
-// readSlice is Read's slice-backed fast path: identical decode logic and
-// error positions, without the buffered-reader indirection.
+// readSlice is Read over an in-memory trace: the same checks and the same
+// events, decoded by decodeEvent without the buffered-reader indirection.
 func (tr *Reader) readSlice() (Event, error) {
-	dt, err := tr.uvarintSlice()
+	var e Event
+	dt, n, err := decodeEvent(tr.data[tr.pos:], &e)
 	if err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: reading time delta: %w", tr.index, err)
+		return Event{}, fmt.Errorf("trace: event %d: %w", tr.index, err)
 	}
-	opByte, err := tr.byteSlice()
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: reading op: %w", tr.index, err)
-	}
-	if opByte == 0 {
+	tr.pos += n
+	if e.Op == 0 {
 		tr.done = true
 		return Event{}, io.EOF
-	}
-	e := Event{Op: Op(opByte)}
-	if !e.Op.Valid() {
-		return Event{}, fmt.Errorf("trace: event %d: invalid op byte %d", tr.index, opByte)
 	}
 	if dt > uint64(math.MaxInt64-tr.lastTime) {
 		return Event{}, fmt.Errorf("trace: event %d: time delta %d after %dus wraps the clock (non-monotonic stream)",
@@ -276,39 +208,6 @@ func (tr *Reader) readSlice() (Event, error) {
 	}
 	tr.lastTime += int64(dt)
 	e.Time = tr.lastTime
-	client, err := tr.uvarintSlice()
-	if err != nil {
-		return Event{}, err
-	}
-	e.Client = uint32(client)
-	file, err := tr.uvarintSlice()
-	if err != nil {
-		return Event{}, err
-	}
-	e.File = file
-	off, err := tr.uvarintSlice()
-	if err != nil {
-		return Event{}, err
-	}
-	e.Offset = int64(off)
-	switch e.Op {
-	case OpRead, OpWrite:
-		l, err := tr.uvarintSlice()
-		if err != nil {
-			return Event{}, err
-		}
-		e.Length = int64(l)
-	case OpOpen:
-		if e.Flags, err = tr.byteSlice(); err != nil {
-			return Event{}, err
-		}
-	case OpMigrate:
-		tgt, err := tr.uvarintSlice()
-		if err != nil {
-			return Event{}, err
-		}
-		e.Target = uint32(tgt)
-	}
 	if err := e.Validate(); err != nil {
 		return Event{}, fmt.Errorf("trace: event %d: corrupt event: %w", tr.index, err)
 	}

@@ -171,3 +171,66 @@ func TestReaderRejectsClockWrap(t *testing.T) {
 		t.Fatalf("unpositioned or wrong error: %v", err)
 	}
 }
+
+// FuzzBytesReader checks that NewBytesReader, which decodes events off
+// the slice, yields exactly the events NewReader does on the same bytes,
+// and fails at the same event when NewReader does.
+func FuzzBytesReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Name: "seed", Clients: 3, Duration: time.Hour, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range sampleEvents() {
+		if err := w.Write(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	// An eleven-byte varint where the first event's time delta goes: both
+	// readers must reject it as an overflow.
+	over := append([]byte(nil), good[:headerLen(f, good)]...)
+	over = append(over, bytes.Repeat([]byte{0xff}, 10)...)
+	f.Add(append(over, 0x01, byte(OpFsync), 1, 1, 0, 0, 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		s, serr := NewBytesReader(data)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("header: NewReader %v, NewBytesReader %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		if r.Header() != s.Header() {
+			t.Fatalf("headers differ: %+v vs %+v", r.Header(), s.Header())
+		}
+		for i := 0; ; i++ {
+			e, err := r.Read()
+			se, serr := s.Read()
+			if (err == nil) != (serr == nil) || (err == io.EOF) != (serr == io.EOF) {
+				t.Fatalf("event %d: NewReader %v, NewBytesReader %v", i, err, serr)
+			}
+			if err != nil {
+				return
+			}
+			if e != se {
+				t.Fatalf("event %d: NewReader %+v, NewBytesReader %+v", i, e, se)
+			}
+		}
+	})
+}
+
+// headerLen is the length of the trace header that begins data.
+func headerLen(f *testing.F, data []byte) int {
+	br := bytes.NewReader(data)
+	if _, err := readHeader(br); err != nil {
+		f.Fatal(err)
+	}
+	return len(data) - br.Len()
+}
