@@ -21,6 +21,7 @@ import (
 
 	"nvramfs/internal/faults"
 	"nvramfs/internal/netmodel"
+	"nvramfs/internal/report"
 )
 
 const benchScale = 0.2
@@ -54,7 +55,7 @@ func BenchmarkTable1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := RenderTable1(discard{}); err != nil {
+		if err := report.RenderTable1(discard{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +144,7 @@ func BenchmarkFigure6(b *testing.B) {
 			b.Fatal(err)
 		}
 		// The Section 2.7 cost study consumes Figure 6 directly.
-		if cs := CostStudy(fig6); len(cs.Rows) == 0 {
+		if cs := report.CostStudy(fig6); len(cs.Rows) == 0 {
 			b.Fatal("no cost rows")
 		}
 	}
@@ -152,7 +153,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkBusTraffic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BusTrafficContext(context.Background(), modelWorkspace(b)); err != nil {
+		if _, err := report.BusTrafficContext(context.Background(), modelWorkspace(b)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,7 +202,7 @@ func BenchmarkWriteBuffer(b *testing.B) {
 func BenchmarkSortedBuffer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := SortedBuffer()
+		r := report.SortedBuffer()
 		if len(r.Depths) == 0 {
 			b.Fatal("empty result")
 		}

@@ -10,17 +10,19 @@ import (
 
 // TestCLI builds the four command-line tools and drives them end to end:
 // generate a trace file, inspect it, simulate against it, and run the
-// server study. Skipped under -short (it shells out to the Go toolchain).
+// server study. It also runs the two examples that look registry entries
+// up by name, so a renamed entry fails here rather than only when someone
+// runs them. Skipped under -short (it shells out to the Go toolchain).
 func TestCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
 	}
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"nvtrace", "nvsim", "nvlfs", "nvreport"} {
-		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
+	for _, pkg := range []string{"cmd/nvtrace", "cmd/nvsim", "cmd/nvlfs", "cmd/nvreport", "examples/costmodel", "examples/endtoend"} {
+		out, err := exec.Command("go", "build", "-o", bin(filepath.Base(pkg)), "./"+pkg).CombinedOutput()
 		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
+			t.Fatalf("building %s: %v\n%s", pkg, err, out)
 		}
 	}
 	run := func(name string, args ...string) string {
@@ -137,6 +139,16 @@ func TestCLI(t *testing.T) {
 	out = run("nvreport", "-exp", "degraded", "-scale", "0.01", "-j", "2")
 	if !strings.Contains(out, "Degraded mode") || !strings.Contains(out, "outage60s") {
 		t.Fatalf("nvreport -exp degraded output: %s", out)
+	}
+
+	// The examples that run registry entries by name.
+	out = run("costmodel", "-scale", "0.02")
+	if !strings.Contains(out, "Table 1: 1992 NVRAM component costs") || !strings.Contains(out, "cost-effectiveness (from Figure 6 curves)") {
+		t.Fatalf("examples/costmodel output: %s", out)
+	}
+	out = run("endtoend", "-scale", "0.02")
+	if !strings.Contains(out, "client NVRAM cut network write traffic") {
+		t.Fatalf("examples/endtoend output: %s", out)
 	}
 
 	// An unknown experiment name must fail and list the valid ones.

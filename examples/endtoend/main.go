@@ -25,8 +25,7 @@ func main() {
 	fmt.Println("  3. client NVRAM plus a server NVRAM region (paper Section 3)")
 	fmt.Println()
 
-	ws := nvramfs.NewWorkspace(*scale)
-	res, err := nvramfs.StackStudyContext(context.Background(), ws)
+	res, err := runStack(&nvramfs.Session{Workspace: nvramfs.NewWorkspace(*scale)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,4 +41,19 @@ func main() {
 	fmt.Printf("adding server NVRAM collapsed partial segments %d -> %d (disk writes %.0fx down overall)\n",
 		cli.PartialSegments, both.PartialSegments,
 		float64(base.ServerDiskWrites)/float64(both.ServerDiskWrites))
+}
+
+// runStack runs the registry's "stack" experiment on the session.
+func runStack(s *nvramfs.Session) (*nvramfs.StackResult, error) {
+	for _, e := range nvramfs.Experiments() {
+		if e.Name != "stack" {
+			continue
+		}
+		r, err := e.Run(context.Background(), s)
+		if err != nil {
+			return nil, err
+		}
+		return r.(*nvramfs.StackResult), nil
+	}
+	return nil, fmt.Errorf("no experiment %q in the registry", "stack")
 }

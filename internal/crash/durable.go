@@ -158,29 +158,48 @@ func VerifyDurableCache(rp prep.Replayable, cfg sim.Config, path string, k int) 
 // written to a sibling path, optionally with torn-write garbage planted
 // past the append offset, and verification runs on that file.
 func KillReopenCache(rp prep.Replayable, cfg sim.Config, dir string, k int, tailGarbage []byte) (*DurableOutcome, error) {
-	src, err := rp.Ops()
+	deadPath, err := powerCut(rp, dir, tailGarbage, func(src prep.Source, img *nvram.Image) error {
+		s, err := RunDurableCacheTo(src, cfg, img, k)
+		if err != nil {
+			return err
+		}
+		s.Release()
+		return nil
+	})
 	if err != nil {
 		return nil, err
+	}
+	return VerifyDurableCache(rp, cfg, deadPath, k)
+}
+
+// powerCut is the kill half of the in-process kill/reopen harness: run
+// drives a fresh replay of rp into a TrackShadow image at dir/live.img,
+// and the image's durable snapshot, with tailGarbage planted past the
+// append offset when it fits, is written to dir/dead.img, whose path it
+// returns for verification.
+func powerCut(rp prep.Replayable, dir string, tailGarbage []byte, run func(prep.Source, *nvram.Image) error) (string, error) {
+	src, err := rp.Ops()
+	if err != nil {
+		return "", err
 	}
 	livePath := dir + "/live.img"
 	if err := os.Remove(livePath); err != nil && !os.IsNotExist(err) {
-		return nil, err
+		return "", err
 	}
 	img, _, err := nvram.OpenImage(livePath, nvram.ImageOptions{TrackShadow: true})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer img.Close()
-	s, err := RunDurableCacheTo(src, cfg, img, k)
-	if err != nil {
-		return nil, err
+	if err := run(src, img); err != nil {
+		return "", err
 	}
 	if err := img.Err(); err != nil {
-		return nil, fmt.Errorf("crash: image failed during run: %w", err)
+		return "", fmt.Errorf("crash: image failed during run: %w", err)
 	}
 	snap, err := img.DurableSnapshot()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if len(tailGarbage) > 0 {
 		off := img.AppendOffset()
@@ -188,12 +207,11 @@ func KillReopenCache(rp prep.Replayable, cfg sim.Config, dir string, k int, tail
 			copy(snap[off:], tailGarbage)
 		}
 	}
-	s.Release()
 	deadPath := dir + "/dead.img"
 	if err := os.WriteFile(deadPath, snap, 0o644); err != nil {
-		return nil, err
+		return "", err
 	}
-	return VerifyDurableCache(rp, cfg, deadPath, k)
+	return deadPath, nil
 }
 
 // RunDurableLFSTo feeds the first k ops of src (the whole stream when
@@ -297,37 +315,11 @@ func VerifyDurableLFS(rp prep.Replayable, cfg LFSConfig, path string, k int) (*D
 // KillReopenLFS is the in-process power-loss variant for LFS, mirroring
 // KillReopenCache.
 func KillReopenLFS(rp prep.Replayable, cfg LFSConfig, dir string, k int, tailGarbage []byte) (*DurableOutcome, error) {
-	src, err := rp.Ops()
+	deadPath, err := powerCut(rp, dir, tailGarbage, func(src prep.Source, img *nvram.Image) error {
+		_, _, err := RunDurableLFSTo(src, cfg, img, k)
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	livePath := dir + "/live.img"
-	if err := os.Remove(livePath); err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	img, _, err := nvram.OpenImage(livePath, nvram.ImageOptions{TrackShadow: true})
-	if err != nil {
-		return nil, err
-	}
-	defer img.Close()
-	if _, _, err := RunDurableLFSTo(src, cfg, img, k); err != nil {
-		return nil, err
-	}
-	if err := img.Err(); err != nil {
-		return nil, fmt.Errorf("crash: image failed during run: %w", err)
-	}
-	snap, err := img.DurableSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if len(tailGarbage) > 0 {
-		off := img.AppendOffset()
-		if off+int64(len(tailGarbage)) <= int64(len(snap)) {
-			copy(snap[off:], tailGarbage)
-		}
-	}
-	deadPath := dir + "/dead.img"
-	if err := os.WriteFile(deadPath, snap, 0o644); err != nil {
 		return nil, err
 	}
 	return VerifyDurableLFS(rp, cfg, deadPath, k)

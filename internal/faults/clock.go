@@ -28,15 +28,12 @@ type Clock interface {
 	Waits(t int64) bool
 }
 
-// virtualClock is the default: time is purely arithmetic, nothing waits.
+// virtualClock is the injector's default, the one the simulators use:
+// time is purely arithmetic, nothing waits. SetClock(nil) restores it.
 type virtualClock struct{}
 
 func (virtualClock) Sleep(int64) bool { return true }
 func (virtualClock) Waits(int64) bool { return false }
-
-// VirtualClock returns the arithmetic clock the simulators use. It is the
-// injector's default; SetClock(VirtualClock()) restores it.
-func VirtualClock() Clock { return virtualClock{} }
 
 // WallClock maps the injector's microsecond timeline onto real time,
 // anchored at the instant the clock was created. It is safe for one

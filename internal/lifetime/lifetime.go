@@ -13,7 +13,6 @@ import (
 	"nvramfs/internal/consist"
 	"nvramfs/internal/interval"
 	"nvramfs/internal/prep"
-	"nvramfs/internal/stats"
 )
 
 // DeathCause says how a byte died in the (infinite) non-volatile cache.
@@ -287,16 +286,6 @@ func (a *Analysis) DeadWithin(delay int64) int64 {
 		return 0
 	}
 	return a.ageBytes[i-1]
-}
-
-// AgeHistogram buckets the death log's bytes by lifetime (microseconds,
-// power-of-two buckets) — the raw distribution behind Figure 2.
-func (a *Analysis) AgeHistogram() *stats.LogHistogram {
-	h := stats.NewLogHistogram()
-	for _, d := range a.Deaths {
-		h.Add(d.Age(), d.Bytes)
-	}
-	return h
 }
 
 // NetWriteFracAt returns the fraction of written bytes that must go to the

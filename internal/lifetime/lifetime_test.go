@@ -248,27 +248,3 @@ func TestBlockConsistencyNeverWorse(t *testing.T) {
 		t.Fatal("totals differ between protocols")
 	}
 }
-
-func TestAgeHistogram(t *testing.T) {
-	ops := []prep.Op{
-		openOp(0, 1, 5, true),
-		wop(10, 1, prep.Write, 5, 0, 100),
-		wop(1000010, 1, prep.Write, 5, 0, 50),        // 50 bytes die at age 1s
-		wop(2000010, 1, prep.DeleteRange, 5, 0, 100), // rest dies at 1s / 2s
-	}
-	a, err := Analyze(prep.NewSliceSource(ops))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := a.AgeHistogram()
-	if h.Total() != 150 {
-		t.Fatalf("histogram total = %d", h.Total())
-	}
-	// All deaths happened within ~2 seconds.
-	if got := h.CumulativeAt(4e6); got != 1.0 {
-		t.Fatalf("CumulativeAt(4s) = %f", got)
-	}
-	if got := h.CumulativeAt(1); got != 0 {
-		t.Fatalf("CumulativeAt(1us) = %f", got)
-	}
-}

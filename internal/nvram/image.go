@@ -60,7 +60,8 @@ import (
 // Namespace bytes partition an image between the subsystems that share it.
 // Each key lives under exactly one namespace.
 const (
-	// NSStore holds a durable Store's battery-backed region.
+	// NSStore holds generic keyed records that belong to no subsystem;
+	// the image tests and bench/layers.go write it.
 	NSStore byte = 1
 	// NSParked holds the fault stage's parked write-back deliveries.
 	NSParked byte = 2
@@ -625,8 +626,8 @@ func (im *Image) Delete(ns byte, key string) error {
 	return nil
 }
 
-// ClearNamespace removes every key in the namespace with a single record
-// (a dead-battery store losing its non-volatile region).
+// ClearNamespace removes every key in the namespace with a single record,
+// for an owner that drops its whole namespace at once.
 func (im *Image) ClearNamespace(ns byte) error {
 	if im.closed {
 		return errImageClosed

@@ -1,15 +1,15 @@
 // Package nvram models the non-volatile memory hardware the paper builds
-// on: a battery-backed store whose contents survive crashes (used by the
-// recovery discussion of Section 4), the write buffer placed in front of a
-// log-structured file system's disk (Section 3), and the buffered-and-
-// sorted write analysis the paper cites from [20], in which 1000 buffered
-// random I/Os (four megabytes of NVRAM) raise disk bandwidth utilization
-// from a few percent to tens of percent.
+// on: an in-memory battery-backed store whose contents survive crashes
+// (the recovery discussion of Section 4), a durable file-backed image
+// that the fault stage's parked deliveries and the LFS write buffer
+// (Section 3) mirror into, and the buffered-and-sorted write analysis the
+// paper cites from [20], in which 1000 buffered random I/Os (four
+// megabytes of NVRAM) raise disk bandwidth utilization from a few percent
+// to tens of percent.
 package nvram
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"nvramfs/internal/disk"
@@ -28,10 +28,6 @@ type Store struct {
 	// spare).
 	Batteries int
 	detached  bool
-	// img, when non-nil, backs the non-volatile region with a durable
-	// on-disk image (OpenDurableStore): every PutNonVolatile commits a
-	// record before returning, and battery death clears the image too.
-	img *Image
 }
 
 // NewStore returns a store backed by the given number of batteries.
@@ -41,37 +37,6 @@ func NewStore(batteries int) *Store {
 		nonVolatile: make(map[string][]byte),
 		Batteries:   batteries,
 	}
-}
-
-// OpenDurableStore returns a store whose non-volatile region lives in the
-// durable image at path: contents put before a previous crash are already
-// present, and every PutNonVolatile is committed to the file before it
-// returns. The second result describes what recovery found.
-func OpenDurableStore(path string, batteries int, opts ImageOptions) (*Store, *ImageRecovery, error) {
-	img, info, err := OpenImage(path, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := NewStore(batteries)
-	s.img = img
-	img.ForEach(NSStore, func(key string, payload []byte) {
-		s.nonVolatile[key] = payload
-	})
-	return s, info, nil
-}
-
-// Image returns the durable image backing the store, or nil for the
-// in-memory model.
-func (s *Store) Image() *Image { return s.img }
-
-// Close releases the backing image, if any. In-memory stores are no-ops.
-func (s *Store) Close() error {
-	if s.img == nil {
-		return nil
-	}
-	err := s.img.Close()
-	s.img = nil
-	return err
 }
 
 // errDetached is returned when using a store after Detach.
@@ -86,19 +51,13 @@ func (s *Store) PutVolatile(key string, data []byte) error {
 	return nil
 }
 
-// PutNonVolatile stores data in the battery-backed region. For durable
-// stores the record is committed to the image file before returning.
+// PutNonVolatile stores data in the battery-backed region.
 func (s *Store) PutNonVolatile(key string, data []byte) error {
 	if s.detached {
 		return errDetached
 	}
 	if s.Batteries <= 0 {
 		return errors.New("nvram: no working battery; contents would not survive")
-	}
-	if s.img != nil {
-		if err := s.img.Put(NSStore, key, data); err != nil {
-			return err
-		}
 	}
 	s.nonVolatile[key] = append([]byte(nil), data...)
 	return nil
@@ -134,7 +93,7 @@ func (s *Store) Crash() {
 	}
 	s.volatile = make(map[string][]byte)
 	if s.Batteries <= 0 {
-		s.loseNonVolatile()
+		s.nonVolatile = make(map[string][]byte)
 	}
 }
 
@@ -145,93 +104,23 @@ func (s *Store) FailBattery() {
 		s.Batteries--
 	}
 	if s.Batteries == 0 {
-		s.loseNonVolatile()
-	}
-}
-
-func (s *Store) loseNonVolatile() {
-	s.nonVolatile = make(map[string][]byte)
-	if s.img != nil {
-		s.img.ClearNamespace(NSStore)
+		s.nonVolatile = make(map[string][]byte)
 	}
 }
 
 // Detach removes the NVRAM component from a (crashed) client, returning a
 // store containing only the surviving non-volatile contents, which can be
 // attached to another client to retrieve its data. The original store
-// becomes unusable; for durable stores the backing image moves with the
-// board.
+// becomes unusable.
 func (s *Store) Detach() *Store {
 	moved := &Store{
 		volatile:    make(map[string][]byte),
 		nonVolatile: s.nonVolatile,
 		Batteries:   s.Batteries,
-		img:         s.img,
 	}
 	s.nonVolatile = nil
-	s.img = nil
 	s.detached = true
 	return moved
-}
-
-// Keys returns how many keys each region currently holds.
-func (s *Store) Keys() (volatile, nonVolatile int) {
-	return len(s.volatile), len(s.nonVolatile)
-}
-
-// WriteBuffer is a byte-counting model of the non-volatile write buffer a
-// server places in front of its disk: fsync'd data parks here (already
-// permanent, so the fsync completes without a disk access) until a full
-// segment's worth accumulates.
-type WriteBuffer struct {
-	capacity int64
-	used     int64
-}
-
-// NewWriteBuffer returns a buffer of the given capacity in bytes.
-func NewWriteBuffer(capacity int64) *WriteBuffer {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &WriteBuffer{capacity: capacity}
-}
-
-// Capacity returns the buffer size in bytes.
-func (b *WriteBuffer) Capacity() int64 { return b.capacity }
-
-// Used returns the buffered byte count.
-func (b *WriteBuffer) Used() int64 { return b.used }
-
-// Free returns the remaining capacity.
-func (b *WriteBuffer) Free() int64 { return b.capacity - b.used }
-
-// Add buffers n bytes, returning how many fit.
-func (b *WriteBuffer) Add(n int64) int64 {
-	if n < 0 {
-		return 0
-	}
-	if n > b.Free() {
-		n = b.Free()
-	}
-	b.used += n
-	return n
-}
-
-// Drain removes up to n buffered bytes (they were written to disk) and
-// returns how many were removed.
-func (b *WriteBuffer) Drain(n int64) int64 {
-	if n < 0 {
-		return 0
-	}
-	if n > b.used {
-		n = b.used
-	}
-	b.used -= n
-	return n
-}
-
-func (b *WriteBuffer) String() string {
-	return fmt.Sprintf("nvram.WriteBuffer{%d/%d}", b.used, b.capacity)
 }
 
 // SortedBufferUtilization estimates the disk bandwidth utilization achieved

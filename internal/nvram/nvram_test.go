@@ -2,9 +2,7 @@ package nvram
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"nvramfs/internal/disk"
@@ -118,136 +116,6 @@ func TestStoreDeadBatteryCrashLosesNVRAM(t *testing.T) {
 	s2.Crash()
 	if _, ok := s2.Get("k"); !ok {
 		t.Fatal("battery-backed store lost NVRAM in a crash")
-	}
-}
-
-func TestWriteBufferAccounting(t *testing.T) {
-	b := NewWriteBuffer(512 << 10)
-	if got := b.Add(300 << 10); got != 300<<10 {
-		t.Fatalf("Add = %d", got)
-	}
-	if got := b.Add(300 << 10); got != 212<<10 {
-		t.Fatalf("overflow Add = %d", got)
-	}
-	if b.Free() != 0 || b.Used() != 512<<10 {
-		t.Fatalf("state: %v", b)
-	}
-	if got := b.Drain(1 << 20); got != 512<<10 {
-		t.Fatalf("Drain = %d", got)
-	}
-	if b.Used() != 0 {
-		t.Fatalf("used after drain = %d", b.Used())
-	}
-	if b.Add(-5) != 0 || b.Drain(-5) != 0 {
-		t.Fatal("negative amounts accepted")
-	}
-}
-
-// Property: a write buffer never exceeds capacity and never goes negative.
-func TestQuickWriteBufferBounds(t *testing.T) {
-	f := func(ops []int32) bool {
-		b := NewWriteBuffer(1 << 20)
-		for _, op := range ops {
-			if op >= 0 {
-				b.Add(int64(op))
-			} else {
-				b.Drain(int64(-op))
-			}
-			if b.Used() < 0 || b.Used() > b.Capacity() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDurableStoreSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.img")
-	s, info, err := OpenDurableStore(path, 2, ImageOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Created {
-		t.Fatal("first open should create the image")
-	}
-	if err := s.PutNonVolatile("dirty", []byte("committed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutVolatile("screen", []byte("unsaved")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Reboot": only the non-volatile region comes back, from the file.
-	s2, info2, err := OpenDurableStore(path, 2, ImageOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if info2.Created {
-		t.Fatal("second open recreated the image")
-	}
-	if d, ok := s2.Get("dirty"); !ok || !bytes.Equal(d, []byte("committed")) {
-		t.Fatalf("non-volatile contents lost across reopen: %q, %v", d, ok)
-	}
-	if _, ok := s2.Get("screen"); ok {
-		t.Fatal("volatile contents survived reopen")
-	}
-}
-
-func TestDurableStoreBatteryDeathClearsImage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.img")
-	s, _, err := OpenDurableStore(path, 1, ImageOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.PutNonVolatile("k", []byte("v"))
-	s.FailBattery()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, _, err := OpenDurableStore(path, 1, ImageOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, ok := s2.Get("k"); ok {
-		t.Fatal("battery death did not clear the durable image")
-	}
-}
-
-func TestDurableStoreDetachMovesImage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.img")
-	s, _, err := OpenDurableStore(path, 1, ImageOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.PutNonVolatile("k", []byte("v"))
-	moved := s.Detach()
-	if s.Image() != nil {
-		t.Fatal("detached-from store kept the image")
-	}
-	if moved.Image() == nil {
-		t.Fatal("image did not move with the board")
-	}
-	if err := moved.PutNonVolatile("k2", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := moved.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, info, err := OpenDurableStore(path, 1, ImageOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if info.LiveKeys != 2 {
-		t.Fatalf("LiveKeys = %d, want 2", info.LiveKeys)
 	}
 }
 

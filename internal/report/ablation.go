@@ -59,21 +59,17 @@ func AblationsContext(ctx context.Context, ws *Workspace) (*AblationResult, erro
 	// larger cache the 30-second cleaner flushes them first and the
 	// policy choice is moot.
 	runVol := func(ctx context.Context, prefer bool) (*cache.Traffic, error) {
-		src, err := ws.OpsSourceContext(ctx, ModelTrace)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ws.simCell(ctx, ModelTrace, src, sim.Config{
+		r, _, err := ws.lockstep(ctx, ModelTrace, []sim.Config{{
 			Model: cache.ModelVolatile,
 			Cache: cache.Config{
 				VolatileBlocks:  sim.BlocksForBytes(sim.MB/2, cache.DefaultBlockSize),
 				DirtyPreference: prefer,
 			},
-		})
+		}})
 		if err != nil {
 			return nil, err
 		}
-		return &r.Traffic, nil
+		return &r[0].Traffic, nil
 	}
 
 	// 2. Hybrid vs unified at a *small* NVRAM (one-quarter megabyte):
@@ -81,22 +77,18 @@ func AblationsContext(ctx context.Context, ws *Workspace) (*AblationResult, erro
 	// the unified model's replacement pool for new writes is only the
 	// tiny NVRAM while the hybrid can use the whole cache.
 	runNV := func(ctx context.Context, model cache.ModelKind) (*cache.Traffic, error) {
-		src, err := ws.OpsSourceContext(ctx, ModelTrace)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ws.simCell(ctx, ModelTrace, src, sim.Config{
+		r, _, err := ws.lockstep(ctx, ModelTrace, []sim.Config{{
 			Model: model,
 			Cache: cache.Config{
 				VolatileBlocks: sim.BlocksForBytes(8*sim.MB, cache.DefaultBlockSize),
 				NVRAMBlocks:    sim.BlocksForBytes(sim.MB/4, cache.DefaultBlockSize),
 				Policy:         cache.LRU,
 			},
-		})
+		}})
 		if err != nil {
 			return nil, err
 		}
-		return &r.Traffic, nil
+		return &r[0].Traffic, nil
 	}
 
 	var plain, prefer, uni, hyb *cache.Traffic

@@ -59,10 +59,6 @@ type DegradedRow struct {
 	Replays int64
 }
 
-// StallOrLoss is the row's combined degradation cost: nonzero when the
-// organization either stalled a writer or shed bytes.
-func (r *DegradedRow) StallOrLoss() bool { return r.Stats.StallUS > 0 || r.Stats.LostBytes > 0 }
-
 // DegradedResult is the graceful-degradation study: every organization
 // run under unreliable-network and server-outage fault schedules.
 type DegradedResult struct {

@@ -116,8 +116,15 @@ func TestDegradedCancelDuringNeverOutageNoGoroutineLeak(t *testing.T) {
 				},
 			})
 			defer s.Release()
-			if err := s.StepToContext(ctx, len(ops)); err != nil {
-				return 0, err
+			// Step in slices, checking the context between them, so a
+			// cancelled cell stops mid-trace.
+			for s.Index() < len(ops) {
+				if err := ctx.Err(); err != nil {
+					return 0, err
+				}
+				if err := s.StepTo(min(s.Index()+256, len(ops))); err != nil {
+					return 0, err
+				}
 			}
 			s.Finish()
 			return s.Index(), nil

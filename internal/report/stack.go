@@ -56,10 +56,6 @@ var stackConfigs = []struct {
 func StackStudyContext(ctx context.Context, ws *Workspace) (*StackResult, error) {
 	rows, err := engine.Map(ctx, ws.Engine(), len(stackConfigs), func(ctx context.Context, i int) (StackRow, error) {
 		c := stackConfigs[i]
-		src, err := ws.OpsSourceContext(ctx, ModelTrace)
-		if err != nil {
-			return StackRow{}, err
-		}
 		srv := server.New(server.Config{
 			CacheBlocks: (16 << 20) / 4096,
 			NVRAMBlocks: c.serverNV,
@@ -87,10 +83,11 @@ func StackStudyContext(ctx context.Context, ws *Workspace) (*StackResult, error)
 			Policy:         cache.LRU,
 			Hooks:          hooks,
 		}
-		r, err := ws.simCell(ctx, ModelTrace, src, cfg)
+		res, _, err := ws.lockstep(ctx, ModelTrace, []sim.Config{cfg})
 		if err != nil {
 			return StackRow{}, err
 		}
+		r := res[0]
 		srv.Shutdown(r.EndTime)
 		return StackRow{
 			Label:            c.label,

@@ -7,8 +7,11 @@
 // write-buffer studies (Tables 3-4, Section 3).
 //
 // Each experiment returns a typed result and can render itself as text.
-// Experiments is the registry of them all, with how each runs;
-// cmd/nvreport runs it, and the benchmarks call the drivers directly.
+// Experiments is the registry of them all, with how each runs:
+// cmd/nvreport runs it, and examples/costmodel and examples/endtoend run
+// entries of it by name. The root package's benchmarks call the drivers
+// directly, and so does the benchmark module's sweep, through the seven
+// drivers the root facade still re-exports.
 //
 // The paper's evaluation is embarrassingly parallel — eight independent
 // traces, each swept across models, policies, and NVRAM sizes — so every
@@ -46,21 +49,6 @@ func getArena() *cache.BlockArena { return arenas.Get().(*cache.BlockArena) }
 // putArena returns an arena (and the blocks a finished run released into
 // it) to the shared pool.
 func putArena(a *cache.BlockArena) { arenas.Put(a) }
-
-// simCell runs one grid cell's simulation over a trace's op stream,
-// attaching a pooled block arena and the trace's file-count hint to the
-// config. The arena only recycles memory — it never changes simulation
-// results — so cells stay pure functions of their seeded inputs.
-func (ws *Workspace) simCell(ctx context.Context, tr int, src prep.Source, cfg sim.Config) (*sim.Result, error) {
-	if st, err := ws.TraceStatsContext(ctx, tr); err == nil {
-		cfg.FilesHint = st.Files
-	}
-	a := getArena()
-	cfg.Cache.Arena = a
-	res, err := sim.Run(src, cfg)
-	putArena(a)
-	return res, err
-}
 
 // lockstep simulates every configuration over one replay of the trace's
 // recording: sim.Broadcast runs the op stream's cache-independent work

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"nvramfs/internal/cache"
@@ -164,30 +163,6 @@ func (d *Stepper) Apply(op prep.Op) error {
 		return err
 	}
 	d.idx++
-	return nil
-}
-
-// StepToContext is StepTo with cooperative cancellation: the context is
-// checked every few hundred operations, so a long run (for example one
-// riding out a never-recovering outage) returns promptly when its grid
-// is cancelled.
-func (d *Stepper) StepToContext(ctx context.Context, k int) error {
-	const checkEvery = 256
-	for d.idx < k {
-		next := d.idx + checkEvery
-		if next > k {
-			next = k
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := d.StepTo(next); err != nil {
-			return err
-		}
-	}
-	if k < d.idx {
-		return d.StepTo(k) // surface the rewind error
-	}
 	return nil
 }
 

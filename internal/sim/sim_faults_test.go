@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"nvramfs/internal/cache"
@@ -148,22 +147,4 @@ func TestFaultReplayDetectionOnLossyTrace(t *testing.T) {
 	if st.CommittedBytes+st.LostBytes+st.PendingBytes != st.OfferedBytes {
 		t.Fatalf("conservation broken: %+v", st)
 	}
-}
-
-func TestFaultStepToContextCancels(t *testing.T) {
-	ops := traceOps(t, 2, 0.02)
-	s := NewStepper(prep.NewSliceSource(ops), Config{
-		Model:  cache.ModelVolatile,
-		Cache:  cache.Config{VolatileBlocks: 512},
-		Faults: &faults.Profile{Seed: 1, Outages: []faults.Window{{Start: 0, End: faults.Never}}},
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.StepToContext(ctx, len(ops)); err != context.Canceled {
-		t.Fatalf("StepToContext under cancelled ctx = %v", err)
-	}
-	if s.Index() != 0 {
-		t.Fatalf("cancelled run applied %d ops", s.Index())
-	}
-	s.Release()
 }

@@ -25,9 +25,10 @@
 //	})
 //	fmt.Printf("net write traffic: %.1f%%\n", res.Traffic.NetWriteFrac()*100)
 //
-// The experiment drivers (Figure2Context .. StackStudyContext) regenerate
-// every table and figure of the paper's evaluation; cmd/nvreport runs the
-// experiment registry (Experiments) and prints them all.
+// The experiment registry (Experiments) regenerates every table and
+// figure of the paper's evaluation: run an entry by name on a Session, as
+// cmd/nvreport does for all of them and examples/costmodel and
+// examples/endtoend do for a few.
 package nvramfs
 
 import (
@@ -536,8 +537,10 @@ func NewWorkspace(scale float64) *Workspace { return report.NewWorkspace(scale) 
 // SetEngine and to the server studies.
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
-// Experiment drivers: one per table and figure in the paper's evaluation.
-// Each result renders itself as text via its Render method(s).
+// Experiment drivers for Figures 2-6, Table 2 and Tables 3-4, which the
+// benchmark's sweep calls directly; every other experiment is reached
+// through the registry (Experiments). Each result renders itself as text
+// via its Render method(s).
 //
 // Every driver takes a context and propagates its cancellation into the
 // job grid (the first error or a cancelled context stops the remaining
@@ -581,65 +584,17 @@ func Figure6Context(ctx context.Context, ws *Workspace) (*ModelCompareResult, er
 	return report.Figure6Context(ctx, ws)
 }
 
-// BusTrafficContext measures the Section 2.6 memory-bus and NVRAM-access
-// claims.
-func BusTrafficContext(ctx context.Context, ws *Workspace) (*BusResult, error) {
-	return report.BusTrafficContext(ctx, ws)
-}
-
 // ServerStudyContext produces Tables 3-4 and the write-buffer comparison,
 // running its sixteen LFS replays on eng (nil runs them serially).
 func ServerStudyContext(ctx context.Context, eng *Engine, duration time.Duration) (*ServerStudyResult, error) {
 	return report.ServerStudyContext(ctx, eng, duration)
 }
 
-// SortedBuffer reproduces the buffered-and-sorted write analysis ([20]).
-func SortedBuffer() *SortedBufferResult { return report.SortedBuffer() }
-
-// CostStudy derives the Section 2.7 cost-effectiveness verdicts from a
-// Figure 6 result.
-func CostStudy(fig6 *ModelCompareResult) *CostStudyResult { return report.CostStudy(fig6) }
-
-// RenderTable1 writes the paper's Table 1 NVRAM price list.
-func RenderTable1(w io.Writer) error { return report.RenderTable1(w) }
-
 // WriteCSV exports an experiment result's data rows as CSV (for external
 // plotting tools).
 func WriteCSV(w io.Writer, t Tabular) error { return report.WriteCSV(w, t) }
-
-// AblationsContext runs the design-choice ablations DESIGN.md calls out:
-// dirty-block replacement preference, the hybrid cache organization of
-// Section 2.6, and block-level consistency (Section 2.3).
-func AblationsContext(ctx context.Context, ws *Workspace) (*AblationResult, error) {
-	return report.AblationsContext(ctx, ws)
-}
 
 // Experiments returns the nvreport experiment registry in report order —
 // the single source of truth for -exp names, help text and how each
 // experiment runs.
 func Experiments() []Experiment { return report.Experiments() }
-
-// ServerCacheStudyContext sweeps a server-side NVRAM cache region over
-// the standard file-system workloads (the Section 3 opening remark),
-// running its (file system, NVRAM size) grid on eng (nil runs it
-// serially).
-func ServerCacheStudyContext(ctx context.Context, eng *Engine, duration time.Duration) (*ServerCacheResult, error) {
-	return report.ServerCacheStudyContext(ctx, eng, duration)
-}
-
-// FsyncLatencyStudyContext prices fsync latency under volatile,
-// server-NVRAM, and client-NVRAM organizations (extension; the paper's
-// Prestoserve and IBM 3990 latency motivation).
-func FsyncLatencyStudyContext(ctx context.Context, ws *Workspace) (*LatencyResult, error) {
-	return report.FsyncLatencyStudyContext(ctx, ws)
-}
-
-// StackStudyContext runs the end-to-end pipeline — client caches feeding
-// a file server (cache + LFS + disk) — under three NVRAM placements.
-func StackStudyContext(ctx context.Context, ws *Workspace) (*StackResult, error) {
-	return report.StackStudyContext(ctx, ws)
-}
-
-// ReadResponseStudy computes the [3] analysis: read-response increase vs
-// LFS write size, and the interference-minimizing write unit.
-func ReadResponseStudy() *ReadResponseResult { return report.ReadResponseStudy() }
