@@ -1,31 +1,14 @@
 package cache
 
-// Open-addressing hash tables for the pool's two hot indexes: block id →
-// block, and file → chain head/tail. The simulator probes these on every
-// cached byte it moves, and Go's generic map machinery (hashing a 16-byte
-// key, group-wise control-byte matching) dominated the profile; a linear
-// probe over power-of-two slot arrays with backward-shift deletion costs a
-// multiply-shift hash and a short scan instead, and the block table needs
-// no stored keys at all because a block carries its own id.
+import "nvramfs/internal/blockmap"
 
-const minIndexSlots = 16
-
-// hash64 is a splitmix64-style finalizer: cheap, and strong enough that
-// sequential file ids and block indexes spread across the table.
-func hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func hashBlockID(id BlockID) uint64 {
-	return hash64(id.File ^ uint64(id.Index)*0x9e3779b97f4a7c15)
-}
-
-// blockIndex maps BlockID → *Block. A nil slot is empty.
+// blockIndex maps BlockID → *Block: the pool's block index, probed on
+// every cached byte the simulator moves. It is the one open-addressing
+// table in the simulators that is not a blockmap.Table, because it needs
+// no stored keys (a block carries its own id, so a slot is one pointer and
+// a nil slot is empty) and because its one-entry last cache writes on
+// lookup, which a shared table read concurrently must not do. It probes
+// and deletes exactly as blockmap.Table does.
 type blockIndex struct {
 	slots []*Block // power-of-two length
 	n     int
@@ -43,7 +26,7 @@ func (t *blockIndex) get(id BlockID) *Block {
 		return nil
 	}
 	mask := uint64(len(t.slots) - 1)
-	for i := hashBlockID(id) & mask; ; i = (i + 1) & mask {
+	for i := blockmap.Hash(blockmap.Key(id)) & mask; ; i = (i + 1) & mask {
 		b := t.slots[i]
 		if b == nil {
 			return nil
@@ -61,7 +44,7 @@ func (t *blockIndex) put(b *Block) {
 		t.grow()
 	}
 	mask := uint64(len(t.slots) - 1)
-	for i := hashBlockID(b.ID) & mask; ; i = (i + 1) & mask {
+	for i := blockmap.Hash(blockmap.Key(b.ID)) & mask; ; i = (i + 1) & mask {
 		if t.slots[i] == nil {
 			t.slots[i] = b
 			t.n++
@@ -73,17 +56,14 @@ func (t *blockIndex) put(b *Block) {
 
 func (t *blockIndex) grow() {
 	old := t.slots
-	next := 2 * len(old)
-	if next < minIndexSlots {
-		next = minIndexSlots
-	}
+	next := max(2*len(old), 16)
 	t.slots = make([]*Block, next)
 	mask := uint64(next - 1)
 	for _, b := range old {
 		if b == nil {
 			continue
 		}
-		for i := hashBlockID(b.ID) & mask; ; i = (i + 1) & mask {
+		for i := blockmap.Hash(blockmap.Key(b.ID)) & mask; ; i = (i + 1) & mask {
 			if t.slots[i] == nil {
 				t.slots[i] = b
 				break
@@ -99,7 +79,7 @@ func (t *blockIndex) del(id BlockID) *Block {
 		return nil
 	}
 	mask := uint64(len(t.slots) - 1)
-	i := hashBlockID(id) & mask
+	i := blockmap.Hash(blockmap.Key(id)) & mask
 	for {
 		b := t.slots[i]
 		if b == nil {
@@ -122,7 +102,7 @@ func (t *blockIndex) del(id BlockID) *Block {
 			break
 		}
 		// b can fill the hole at i unless its home slot lies in (i, j].
-		if h := hashBlockID(b.ID) & mask; (j-h)&mask >= (j-i)&mask {
+		if h := blockmap.Hash(blockmap.Key(b.ID)) & mask; (j-h)&mask >= (j-i)&mask {
 			t.slots[i] = b
 			i = j
 		}
@@ -130,95 +110,4 @@ func (t *blockIndex) del(id BlockID) *Block {
 	t.slots[i] = nil
 	t.n--
 	return removed
-}
-
-// fileSlot is one fileIndex entry: a file id and its chain ends. An empty
-// slot has head == nil (a present file always chains at least one block).
-type fileSlot struct {
-	file       uint64
-	head, tail *Block
-}
-
-// fileIndex maps file id → chain ends.
-type fileIndex struct {
-	slots []fileSlot // power-of-two length
-	n     int
-}
-
-// find returns the slot index holding file, or -1.
-func (t *fileIndex) find(file uint64) int {
-	if t.n == 0 {
-		return -1
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := hash64(file) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.head == nil {
-			return -1
-		}
-		if s.file == file {
-			return int(i)
-		}
-	}
-}
-
-// ensure returns the slot for file, inserting an empty chain if absent.
-// The pointer is valid only until the next ensure or del.
-func (t *fileIndex) ensure(file uint64) *fileSlot {
-	if 4*(t.n+1) > 3*len(t.slots) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := hash64(file) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.head == nil {
-			s.file = file
-			t.n++
-			return s
-		}
-		if s.file == file {
-			return s
-		}
-	}
-}
-
-func (t *fileIndex) grow() {
-	old := t.slots
-	next := 2 * len(old)
-	if next < minIndexSlots {
-		next = minIndexSlots
-	}
-	t.slots = make([]fileSlot, next)
-	mask := uint64(next - 1)
-	for _, s := range old {
-		if s.head == nil {
-			continue
-		}
-		for i := hash64(s.file) & mask; ; i = (i + 1) & mask {
-			if t.slots[i].head == nil {
-				t.slots[i] = s
-				break
-			}
-		}
-	}
-}
-
-// del empties the slot at index i (from find), backward-shifting the
-// probe chain.
-func (t *fileIndex) del(i int) {
-	mask := len(t.slots) - 1
-	j := i
-	for {
-		j = (j + 1) & mask
-		s := t.slots[j]
-		if s.head == nil {
-			break
-		}
-		if h := int(hash64(s.file)) & mask; (j-h)&mask >= (j-i)&mask {
-			t.slots[i] = s
-			i = j
-		}
-	}
-	t.slots[i] = fileSlot{}
-	t.n--
 }

@@ -46,49 +46,3 @@ func TestBlockIndexMatchesMap(t *testing.T) {
 		}
 	}
 }
-
-// TestFileIndexMatchesMap does the same for the file-chain table, whose
-// occupancy marker is the chain head rather than a separate flag.
-func TestFileIndexMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var idx fileIndex
-	ref := make(map[uint64]*Block)
-	for step := 0; step < 50000; step++ {
-		f := uint64(rng.Intn(64))
-		switch rng.Intn(3) {
-		case 0: // ensure
-			s := idx.ensure(f)
-			if s.file != f {
-				t.Fatalf("step %d: ensure(%d) returned slot for %d", step, f, s.file)
-			}
-			if ref[f] == nil {
-				b := &Block{ID: BlockID{File: f}}
-				ref[f] = b
-				s.head, s.tail = b, b
-			} else if s.head != ref[f] {
-				t.Fatalf("step %d: ensure(%d) head = %p, want %p", step, f, s.head, ref[f])
-			}
-		case 1: // del
-			i := idx.find(f)
-			if (i >= 0) != (ref[f] != nil) {
-				t.Fatalf("step %d: find(%d) = %d, present=%v", step, f, i, ref[f] != nil)
-			}
-			if i >= 0 {
-				idx.del(i)
-				delete(ref, f)
-			}
-		case 2: // find
-			i := idx.find(f)
-			if ref[f] == nil {
-				if i >= 0 {
-					t.Fatalf("step %d: find(%d) = %d, want absent", step, f, i)
-				}
-			} else if i < 0 || idx.slots[i].head != ref[f] {
-				t.Fatalf("step %d: find(%d) lookup wrong", step, f)
-			}
-		}
-		if idx.n != len(ref) {
-			t.Fatalf("step %d: n = %d, want %d", step, idx.n, len(ref))
-		}
-	}
-}

@@ -3,16 +3,18 @@ package cache
 import (
 	"fmt"
 	"slices"
+
+	"nvramfs/internal/blockmap"
 )
 
 // Pool is a fixed-capacity collection of cache blocks with a replacement
 // policy. It indexes blocks by id and chains each file's blocks in index
 // order (threaded through the blocks' filePrev/fileNext links, heads held
 // in the file index) so whole-file operations (flush, invalidate) are
-// cheap and need no sorting. Both indexes are the open-addressing tables
-// of index.go; keeping each chain sorted incrementally (inserts walk from
-// the tail, where append-order workloads land immediately) replaces the
-// old map-then-sort path.
+// cheap and need no sorting. The block index is index.go's keyless table,
+// the file index a blockmap.Table keyed {File: id}; keeping each chain
+// sorted incrementally (inserts walk from the tail, where append-order
+// workloads land immediately) replaces the old map-then-sort path.
 type Pool struct {
 	capacity int // in blocks; 0 means the pool holds nothing
 	// shared marks a pool whose model also stands for cells of larger
@@ -20,10 +22,13 @@ type Pool struct {
 	shared bool
 	policy Policy
 	blocks blockIndex
-	files  fileIndex
+	files  blockmap.Table[chain] // every entry chains at least one block
 
 	fileScratch []uint64 // reused by ForEachBlock for file ordering
 }
+
+// chain is a file's cached blocks, linked in index order.
+type chain struct{ head, tail *Block }
 
 // NewPool returns a pool holding at most capBlocks blocks. The indexes
 // start empty and grow on demand: a simulation builds one pool per client,
@@ -91,7 +96,7 @@ func (p *Pool) Put(b *Block, now int64) {
 // unique, so b goes right after the one or right before the other); only
 // when neither is cached does the insert walk back from the tail.
 func (p *Pool) chainInsert(b *Block) {
-	c := p.files.ensure(b.ID.File)
+	c, _ := p.files.Ref(blockmap.Key{File: b.ID.File})
 	after := c.tail
 	if after != nil && after.ID.Index > b.ID.Index {
 		if prev := p.blocks.get(BlockID{File: b.ID.File, Index: b.ID.Index - 1}); prev != nil {
@@ -127,8 +132,8 @@ func (p *Pool) chainInsert(b *Block) {
 
 // chainRemove unlinks b from its file's chain.
 func (p *Pool) chainRemove(b *Block) {
-	i := p.files.find(b.ID.File)
-	c := &p.files.slots[i]
+	i := p.files.Find(blockmap.Key{File: b.ID.File})
+	c := p.files.At(i)
 	if b.filePrev != nil {
 		b.filePrev.fileNext = b.fileNext
 	} else {
@@ -141,7 +146,7 @@ func (p *Pool) chainRemove(b *Block) {
 	}
 	b.filePrev, b.fileNext = nil, nil
 	if c.head == nil {
-		p.files.del(i)
+		p.files.DelAt(i)
 	}
 }
 
@@ -212,12 +217,8 @@ func (p *Pool) VictimPreferring(pred func(*Block) bool) *Block {
 // order, without allocating. fn may remove the block it was handed (and no
 // other) from the pool.
 func (p *Pool) ForEachFileBlock(file uint64, fn func(*Block)) {
-	i := p.files.find(file)
-	if i < 0 {
-		return
-	}
-	b := p.files.slots[i].head
-	for b != nil {
+	c, _ := p.files.Get(blockmap.Key{File: file})
+	for b := c.head; b != nil; {
 		next := b.fileNext
 		fn(b)
 		b = next
@@ -231,11 +232,7 @@ func (p *Pool) ForEachFileBlock(file uint64, fn func(*Block)) {
 // chain is already ordered. fn may remove the block it was handed.
 func (p *Pool) ForEachBlock(fn func(*Block)) {
 	fs := p.fileScratch[:0]
-	for i := range p.files.slots {
-		if p.files.slots[i].head != nil {
-			fs = append(fs, p.files.slots[i].file)
-		}
-	}
+	p.files.Each(func(k blockmap.Key, _ chain) { fs = append(fs, k.File) })
 	slices.Sort(fs)
 	p.fileScratch = fs
 	for _, f := range fs {
@@ -280,14 +277,8 @@ func (p *Pool) fork(capBlocks int) *Pool {
 			q.blocks.slots[i] = b.clone()
 		}
 	}
-	q.files.slots = make([]fileSlot, len(p.files.slots))
-	q.files.n = p.files.n
-	for i, s := range p.files.slots {
-		if s.head == nil {
-			continue
-		}
-		c := &q.files.slots[i]
-		c.file = s.file
+	p.files.Each(func(k blockmap.Key, s chain) {
+		c, _ := q.files.Ref(k)
 		for b := s.head; b != nil; b = b.fileNext {
 			nb := q.blocks.get(b.ID)
 			nb.filePrev = c.tail
@@ -298,7 +289,7 @@ func (p *Pool) fork(capBlocks int) *Pool {
 			}
 			c.tail = nb
 		}
-	}
+	})
 	q.policy = p.policy.fork(func(b *Block) *Block { return q.blocks.get(b.ID) })
 	q.SetCapacity(capBlocks, false)
 	return q

@@ -40,8 +40,8 @@ func (fs *FS) AttachImage(img *nvram.Image) {
 // sorted iteration yields (file, index) order.
 func bufKey(id blockID) string {
 	var b [16]byte
-	binary.BigEndian.PutUint64(b[0:], id.file)
-	binary.BigEndian.PutUint64(b[8:], uint64(id.index))
+	binary.BigEndian.PutUint64(b[0:], id.File)
+	binary.BigEndian.PutUint64(b[8:], uint64(id.Index))
 	return string(b[:])
 }
 
@@ -50,14 +50,14 @@ func decodeBufKey(key string) (blockID, error) {
 		return blockID{}, fmt.Errorf("lfs: buffered-block key is %d bytes, want 16", len(key))
 	}
 	return blockID{
-		file:  binary.BigEndian.Uint64([]byte(key[0:8])),
-		index: int64(binary.BigEndian.Uint64([]byte(key[8:16]))),
+		File:  binary.BigEndian.Uint64([]byte(key[0:8])),
+		Index: int64(binary.BigEndian.Uint64([]byte(key[8:16]))),
 	}, nil
 }
 
 // bufferAdd parks a block in the NVRAM buffer (and the image, if attached).
 func (fs *FS) bufferAdd(id blockID) {
-	fs.buffered.put(id, struct{}{})
+	fs.buffered.Put(id, struct{}{})
 	if fs.img != nil {
 		fs.img.Put(nvram.NSLFSBuffer, bufKey(id), nil)
 	}
@@ -65,7 +65,7 @@ func (fs *FS) bufferAdd(id blockID) {
 
 // bufferRemove drops a block from the NVRAM buffer (and the image).
 func (fs *FS) bufferRemove(id blockID) {
-	fs.buffered.del(id)
+	fs.buffered.Del(id)
 	if fs.img != nil {
 		fs.img.Delete(nvram.NSLFSBuffer, bufKey(id))
 	}
@@ -94,8 +94,8 @@ func encodeCheckpoint(cp *checkpointRec) []byte {
 	binary.LittleEndian.PutUint32(tmp[0:], uint32(len(blocks)))
 	b = append(b, tmp[:4]...)
 	for _, id := range blocks {
-		binary.LittleEndian.PutUint64(tmp[0:], id.file)
-		binary.LittleEndian.PutUint64(tmp[8:], uint64(id.index))
+		binary.LittleEndian.PutUint64(tmp[0:], id.File)
+		binary.LittleEndian.PutUint64(tmp[8:], uint64(id.Index))
 		binary.LittleEndian.PutUint32(tmp[16:], uint32(cp.blockSeg[id]))
 		b = append(b, tmp[:20]...)
 	}
@@ -148,8 +148,8 @@ func decodeCheckpoint(b []byte) (*checkpointRec, error) {
 	}
 	for i := 0; i < nBlocks; i++ {
 		id := blockID{
-			file:  binary.LittleEndian.Uint64(b[off:]),
-			index: int64(binary.LittleEndian.Uint64(b[off+8:])),
+			File:  binary.LittleEndian.Uint64(b[off:]),
+			Index: int64(binary.LittleEndian.Uint64(b[off+8:])),
 		}
 		cp.blockSeg[id] = int32(binary.LittleEndian.Uint32(b[off+16:]))
 		off += 20
@@ -200,8 +200,8 @@ func decodeCheckpoint(b []byte) (*checkpointRec, error) {
 // bufferedIDs returns the NVRAM write buffer's contents in (file, index)
 // order.
 func (fs *FS) bufferedIDs() []blockID {
-	ids := make([]blockID, 0, fs.buffered.len())
-	fs.buffered.each(func(id blockID, _ struct{}) { ids = append(ids, id) })
+	ids := make([]blockID, 0, fs.buffered.Len())
+	fs.buffered.Each(func(id blockID, _ struct{}) { ids = append(ids, id) })
 	sortBlockIDs(ids)
 	return ids
 }
@@ -212,7 +212,7 @@ func (fs *FS) BufferedBlockRefs() []BlockRef {
 	ids := fs.bufferedIDs()
 	out := make([]BlockRef, len(ids))
 	for i, id := range ids {
-		out[i] = BlockRef{File: id.file, Index: id.index}
+		out[i] = BlockRef{File: id.File, Index: id.Index}
 	}
 	return out
 }
@@ -239,7 +239,7 @@ func RecoverBufferedRefs(img *nvram.Image) ([]BlockRef, error) {
 			}
 			return
 		}
-		out = append(out, BlockRef{File: id.file, Index: id.index})
+		out = append(out, BlockRef{File: id.File, Index: id.Index})
 	})
 	if firstErr != nil {
 		return nil, firstErr

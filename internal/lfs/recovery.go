@@ -60,12 +60,12 @@ func (cp *checkpointRec) clone() *checkpointRec {
 func (fs *FS) snapshot() *checkpointRec {
 	cp := &checkpointRec{
 		seq:      fs.seq,
-		blockSeg: make(map[blockID]int32, fs.blockSeg.len()),
+		blockSeg: make(map[blockID]int32, fs.blockSeg.Len()),
 		files:    make(map[uint64]int64, len(fs.files)),
 		segLive:  append([]int32(nil), fs.segLive...),
 		free:     append([]int32(nil), fs.free...),
 	}
-	fs.blockSeg.each(func(id blockID, seg int32) { cp.blockSeg[id] = seg })
+	fs.blockSeg.Each(func(id blockID, seg int32) { cp.blockSeg[id] = seg })
 	for k, f := range fs.files {
 		cp.files[k] = f.extent
 	}
@@ -98,7 +98,7 @@ func (fs *FS) Checkpoint(now int64) {
 	// A checkpoint region write: metadata snapshot, sized roughly by the
 	// live-block pointer count (8 bytes a pointer, one 4 KB block
 	// minimum).
-	size := int64(fs.blockSeg.len())*8 + int64(len(fs.segLive))*4
+	size := int64(fs.blockSeg.Len())*8 + int64(len(fs.segLive))*4
 	if size < fs.cfg.BlockSize {
 		size = fs.cfg.BlockSize
 	}
@@ -142,7 +142,7 @@ func (fs *FS) SimulateCrashAndRecover(now int64) (*FS, RecoveryReport, error) {
 // crash) or from a reopened durable image (a real one).
 func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointRec) (*FS, RecoveryReport, error) {
 	report := RecoveryReport{
-		LostDirtyBlocks:         fs.dirty.len(),
+		LostDirtyBlocks:         fs.dirty.Len(),
 		RecoveredBufferedBlocks: len(buffered),
 	}
 
@@ -171,7 +171,7 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 		fromSeq = cp.seq
 		report.CheckpointSeq = cp.seq
 		for id, seg := range cp.blockSeg {
-			rec.blockSeg.put(id, seg)
+			rec.blockSeg.Put(id, seg)
 		}
 		for k, v := range cp.files {
 			rec.files[k] = &fileState{extent: v}
@@ -216,7 +216,7 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 			// The dirty and buffered tables are empty until step 3.
 			if f := rec.files[ev.del]; f != nil {
 				rec.fileIndexes(ev.del, f.extent, func(idx int64) {
-					if seg, ok := rec.blockSeg.del(blockID{ev.del, idx}); ok {
+					if seg, ok := rec.blockSeg.Del(blockID{File: ev.del, Index: idx}); ok {
 						rec.segLive[seg]--
 					}
 				})
@@ -227,7 +227,7 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 		rec.disk.Read(fs.cfg.SegmentSize)
 		report.SegmentsReplayed++
 		for _, id := range ev.blocks {
-			p, had := rec.blockSeg.ref(id)
+			p, had := rec.blockSeg.Ref(id)
 			if had {
 				rec.segLive[*p]--
 			}
@@ -240,7 +240,7 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 	// Rebuild the free list from what remains unreferenced.
 	rec.free = rec.free[:0]
 	used := make(map[int32]bool)
-	rec.blockSeg.each(func(_ blockID, seg int32) { used[seg] = true })
+	rec.blockSeg.Each(func(_ blockID, seg int32) { used[seg] = true })
 	for i := fs.cfg.DiskSegments - 1; i >= 0; i-- {
 		if !used[int32(i)] {
 			rec.free = append(rec.free, int32(i))
@@ -250,7 +250,7 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 	// 3. The NVRAM buffer's contents survived; re-register them so they
 	// reach the disk in due course.
 	for _, id := range buffered {
-		rec.buffered.put(id, struct{}{})
+		rec.buffered.Put(id, struct{}{})
 		rec.extend(id)
 	}
 
@@ -262,8 +262,8 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 
 // extend makes id's file extent cover id, creating the file's entry.
 func (fs *FS) extend(id blockID) {
-	f := fs.file(id.file)
-	f.extent = max(f.extent, id.index+1)
+	f := fs.file(id.File)
+	f.extent = max(f.extent, id.Index+1)
 }
 
 // CheckConsistent verifies the segment-accounting invariants: every block
@@ -277,14 +277,14 @@ func (fs *FS) CheckConsistent() error { return fs.checkConsistent() }
 // stable=true with at = -1 (the buffer keeps no ages: its contents are
 // already permanent). The crash harness uses it to apply the loss model.
 func (fs *FS) ForEachPending(fn func(file uint64, index int64, at int64, stable bool)) {
-	dirty := make([]ageEntry, 0, fs.dirty.len())
-	fs.dirty.each(func(id blockID, d dirtyBlock) { dirty = append(dirty, ageEntry{at: d.at, id: id}) })
+	dirty := make([]ageEntry, 0, fs.dirty.Len())
+	fs.dirty.Each(func(id blockID, d dirtyBlock) { dirty = append(dirty, ageEntry{at: d.at, id: id}) })
 	slices.SortFunc(dirty, func(a, b ageEntry) int { return compareBlockIDs(a.id, b.id) })
 	for _, e := range dirty {
-		fn(e.id.file, e.id.index, e.at, false)
+		fn(e.id.File, e.id.Index, e.at, false)
 	}
 	for _, id := range fs.bufferedIDs() {
-		fn(id.file, id.index, -1, true)
+		fn(id.File, id.Index, -1, true)
 	}
 }
 
@@ -306,20 +306,20 @@ func (fs *FS) DurableFingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	ids := make([]blockID, 0, fs.blockSeg.len())
-	fs.blockSeg.each(func(id blockID, _ int32) { ids = append(ids, id) })
+	ids := make([]blockID, 0, fs.blockSeg.Len())
+	fs.blockSeg.Each(func(id blockID, _ int32) { ids = append(ids, id) })
 	sortBlockIDs(ids)
 	for _, id := range ids {
-		seg, _ := fs.blockSeg.get(id)
+		seg, _ := fs.blockSeg.Get(id)
 		mix(1)
-		mix(id.file)
-		mix(uint64(id.index))
+		mix(id.File)
+		mix(uint64(id.Index))
 		mix(uint64(seg))
 	}
 	for _, id := range fs.bufferedIDs() {
 		mix(2)
-		mix(id.file)
-		mix(uint64(id.index))
+		mix(id.File)
+		mix(uint64(id.Index))
 	}
 	return h
 }
@@ -329,7 +329,7 @@ func (fs *FS) DurableFingerprint() uint64 {
 func (fs *FS) checkConsistent() error {
 	counts := make([]int32, len(fs.segLive))
 	beyond := int32(-1)
-	fs.blockSeg.each(func(_ blockID, seg int32) {
+	fs.blockSeg.Each(func(_ blockID, seg int32) {
 		if int(seg) >= len(counts) {
 			beyond = seg
 			return

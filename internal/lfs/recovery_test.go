@@ -15,21 +15,21 @@ import (
 // was never written to the log.)
 func stateEqual(t *testing.T, want, got *FS) {
 	t.Helper()
-	if want.blockSeg.len() != got.blockSeg.len() {
-		t.Fatalf("block maps differ: %d vs %d entries", want.blockSeg.len(), got.blockSeg.len())
+	if want.blockSeg.Len() != got.blockSeg.Len() {
+		t.Fatalf("block maps differ: %d vs %d entries", want.blockSeg.Len(), got.blockSeg.Len())
 	}
-	want.blockSeg.each(func(id blockID, seg int32) {
-		if g, _ := got.blockSeg.get(id); g != seg {
+	want.blockSeg.Each(func(id blockID, seg int32) {
+		if g, _ := got.blockSeg.Get(id); g != seg {
 			t.Fatalf("block %v: segment %d vs %d", id, seg, g)
 		}
 	})
 	covers := func(id blockID, what string) {
-		if f := got.files[id.file]; f == nil || f.extent <= id.index {
-			t.Fatalf("file %d extent does not cover %s block %d", id.file, what, id.index)
+		if f := got.files[id.File]; f == nil || f.extent <= id.Index {
+			t.Fatalf("file %d extent does not cover %s block %d", id.File, what, id.Index)
 		}
 	}
-	got.blockSeg.each(func(id blockID, _ int32) { covers(id, "durable") })
-	want.buffered.each(func(id blockID, _ struct{}) { covers(id, "buffered") })
+	got.blockSeg.Each(func(id blockID, _ int32) { covers(id, "durable") })
+	want.buffered.Each(func(id blockID, _ struct{}) { covers(id, "buffered") })
 	if err := got.checkConsistent(); err != nil {
 		t.Fatal(err)
 	}

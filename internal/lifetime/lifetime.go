@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nvramfs/internal/blockmap"
 	"nvramfs/internal/cache"
 	"nvramfs/internal/consist"
 	"nvramfs/internal/interval"
@@ -311,89 +312,13 @@ func (a *Analysis) NetWriteFracAt(delay int64) float64 {
 // data is about to be deleted must be retained (its bytes will die in the
 // cache), while a block that is never touched again is the ideal victim
 // (flushing it is inevitable traffic anyway).
-// The times live in an open-addressing table keyed by block id: the
-// simulators probe the schedule on every block insertion and write, and the
-// Go map's 16-byte-key hashing showed up hot. A slot is occupied exactly
-// when its time slice is non-empty (every insert appends a time before the
-// next table operation). After BuildSchedule returns, the table is
-// read-only and safe for concurrent lookups.
+// The times live in a blockmap.Table keyed by block id: the simulators
+// probe the schedule on every block insertion and write, and the Go map's
+// 16-byte-key hashing showed up hot. Every entry holds at least one time.
+// After BuildSchedule returns, the table is read-only and safe for
+// concurrent lookups.
 type Schedule struct {
-	slots []schedSlot // power-of-two length
-	n     int
-}
-
-type schedSlot struct {
-	id cache.BlockID
-	ts []int64
-}
-
-func hashSchedID(id cache.BlockID) uint64 {
-	x := id.File ^ uint64(id.Index)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// find returns the block's time slice, or nil.
-func (s *Schedule) find(id cache.BlockID) []int64 {
-	if s.n == 0 {
-		return nil
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := hashSchedID(id) & mask; ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if sl.ts == nil {
-			return nil
-		}
-		if sl.id == id {
-			return sl.ts
-		}
-	}
-}
-
-// ensure returns the slot for id, claiming an empty one if absent. The
-// caller must append a time before the next table operation (occupancy is
-// ts != nil). The pointer is valid until the next ensure.
-func (s *Schedule) ensure(id cache.BlockID) *schedSlot {
-	if 4*(s.n+1) > 3*len(s.slots) {
-		s.grow()
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := hashSchedID(id) & mask; ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if sl.ts == nil {
-			sl.id = id
-			s.n++
-			return sl
-		}
-		if sl.id == id {
-			return sl
-		}
-	}
-}
-
-func (s *Schedule) grow() {
-	old := s.slots
-	next := 2 * len(old)
-	if next < 1024 {
-		next = 1024
-	}
-	s.slots = make([]schedSlot, next)
-	mask := uint64(next - 1)
-	for _, sl := range old {
-		if sl.ts == nil {
-			continue
-		}
-		for i := hashSchedID(sl.id) & mask; ; i = (i + 1) & mask {
-			if s.slots[i].ts == nil {
-				s.slots[i] = sl
-				break
-			}
-		}
-	}
+	times blockmap.Table[[]int64]
 }
 
 // BuildSchedule extracts per-block modification (write and delete) times
@@ -416,9 +341,9 @@ func BuildSchedule(src prep.Source, blockSize int64) (*Schedule, error) {
 			continue
 		}
 		for idx := op.Range.Start / blockSize; idx*blockSize < op.Range.End; idx++ {
-			sl := s.ensure(cache.BlockID{File: op.File, Index: idx})
-			if n := len(sl.ts); n == 0 || sl.ts[n-1] != op.Time {
-				sl.ts = append(sl.ts, op.Time)
+			ts, _ := s.times.Ref(blockmap.Key{File: op.File, Index: idx})
+			if n := len(*ts); n == 0 || (*ts)[n-1] != op.Time {
+				*ts = append(*ts, op.Time)
 			}
 		}
 	}
@@ -427,7 +352,7 @@ func BuildSchedule(src prep.Source, blockSize int64) (*Schedule, error) {
 // NextModify returns the earliest write to the block strictly after now,
 // or cache.NeverModified.
 func (s *Schedule) NextModify(id cache.BlockID, now int64) int64 {
-	ts := s.find(id)
+	ts := s.ModifyTimes(id)
 	i := sort.Search(len(ts), func(i int) bool { return ts[i] > now })
 	if i == len(ts) {
 		return cache.NeverModified
@@ -440,10 +365,13 @@ func (s *Schedule) NextModify(id cache.BlockID, now int64) int64 {
 // and must be treated as read-only; the omniscient policy uses it to keep
 // a forward cursor per cached block instead of binary-searching here on
 // every write.
-func (s *Schedule) ModifyTimes(id cache.BlockID) []int64 { return s.find(id) }
+func (s *Schedule) ModifyTimes(id cache.BlockID) []int64 {
+	ts, _ := s.times.Get(blockmap.Key(id))
+	return ts
+}
 
 // Blocks returns the number of blocks with at least one recorded write.
-func (s *Schedule) Blocks() int { return s.n }
+func (s *Schedule) Blocks() int { return s.times.Len() }
 
 // ForEach visits every block's modification-time slice. Visit order is a
 // function of the table's internal layout: deterministic for a given
@@ -451,11 +379,7 @@ func (s *Schedule) Blocks() int { return s.n }
 // sort the visited ids themselves. The slices are owned by the schedule
 // and read-only.
 func (s *Schedule) ForEach(fn func(id cache.BlockID, ts []int64)) {
-	for i := range s.slots {
-		if sl := &s.slots[i]; sl.ts != nil {
-			fn(sl.id, sl.ts)
-		}
-	}
+	s.times.Each(func(k blockmap.Key, ts []int64) { fn(cache.BlockID(k), ts) })
 }
 
 var _ cache.Schedule = (*Schedule)(nil)

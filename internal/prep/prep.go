@@ -13,6 +13,7 @@ package prep
 import (
 	"fmt"
 
+	"nvramfs/internal/blockmap"
 	"nvramfs/internal/interval"
 	"nvramfs/internal/trace"
 )
@@ -111,121 +112,20 @@ type Options struct {
 	Trusted bool
 }
 
-// fileEntry is one fileTable slot: a file's id and its current size. A
-// whole-file delete removes the entry, keeping the table bounded by the
-// live file population rather than every file the trace ever touched: a
-// deleted file looks exactly like an unseen one (size zero), and the trace
-// generators never reuse ids, so re-insertion cannot recount a file.
-type fileEntry struct {
-	file uint64
-	size int64
-	used bool
-}
-
-// fileTable is an open-addressing file id → size map. Canonicalization
-// probes it once per event, and the two Go maps it replaces (sizes and the
-// seen set) dominated the prep side of the profile; one linear-probe table
-// answers both questions with a single multiply-shift hash.
-type fileTable struct {
-	slots []fileEntry // power-of-two length
-	n     int
-}
-
-// hashFile is a splitmix64-style finalizer (see internal/cache's hash64).
-func hashFile(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// ensure returns the entry for file, inserting a zero-size one if absent,
-// and reports whether it inserted. The pointer is valid until the next
-// ensure.
-func (t *fileTable) ensure(file uint64) (*fileEntry, bool) {
-	if 4*(t.n+1) > 3*len(t.slots) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := hashFile(file) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			s.file, s.used = file, true
-			t.n++
-			return s, true
-		}
-		if s.file == file {
-			return s, false
-		}
-	}
-}
-
-// del removes file's entry if present, backward-shifting the probe chain
-// so later lookups stay correct (same scheme as internal/cache's indexes).
-func (t *fileTable) del(file uint64) {
-	if t.n == 0 {
-		return
-	}
-	mask := uint64(len(t.slots) - 1)
-	i := hashFile(file) & mask
-	for {
-		s := &t.slots[i]
-		if !s.used {
-			return
-		}
-		if s.file == file {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		s := t.slots[j]
-		if !s.used {
-			break
-		}
-		// s can fill the hole at i unless its home slot lies in (i, j].
-		if h := hashFile(s.file) & mask; (j-h)&mask >= (j-i)&mask {
-			t.slots[i] = s
-			i = j
-		}
-	}
-	t.slots[i] = fileEntry{}
-	t.n--
-}
-
-func (t *fileTable) grow() {
-	old := t.slots
-	next := 2 * len(old)
-	if next < 16 {
-		next = 16
-	}
-	t.slots = make([]fileEntry, next)
-	mask := uint64(next - 1)
-	for _, s := range old {
-		if !s.used {
-			continue
-		}
-		for i := hashFile(s.file) & mask; ; i = (i + 1) & mask {
-			if !t.slots[i].used {
-				t.slots[i] = s
-				break
-			}
-		}
-	}
-}
-
 // Canonicalizer converts a raw event stream into canonical ops, one pull at
 // a time, in bounded memory: its only per-trace state is the per-file size
 // table. It implements Source.
 type Canonicalizer struct {
-	src   trace.EventSource
-	opt   Options
-	st    Stats
-	files fileTable
+	src trace.EventSource
+	opt Options
+	st  Stats
+	// files maps each live file, keyed {File: id}, to its size. A
+	// whole-file delete removes the entry, keeping the table bounded by the
+	// live file population rather than every file the trace ever touched:
+	// a deleted file looks exactly like an unseen one (size zero), and the
+	// trace generators never reuse ids, so re-insertion cannot recount a
+	// file.
+	files blockmap.Table[int64]
 	last  int64
 	idx   int64 // raw event index, for error positions
 	err   error
@@ -288,21 +188,8 @@ func (c *Canonicalizer) Next() (Op, bool, error) {
 			c.done = true
 			return Op{}, false, nil
 		}
-		if !c.opt.Trusted {
-			if err := e.Validate(); err != nil {
-				c.err = fmt.Errorf("prep: event %d: %w", c.idx, err)
-				return Op{}, false, c.err
-			}
-			if e.Time < c.last {
-				c.err = fmt.Errorf("prep: event %d out of order (%d < %d)", c.idx, e.Time, c.last)
-				return Op{}, false, c.err
-			}
-			c.last = e.Time
-		}
-		c.idx++
-		o, emitted := c.apply(e)
-		if emitted {
-			return o, true, nil
+		if o, emitted, err := c.Push(e); err != nil || emitted {
+			return o, emitted, err
 		}
 	}
 }
@@ -311,11 +198,11 @@ func (c *Canonicalizer) Next() (Op, bool, error) {
 // whether it produced an op.
 func (c *Canonicalizer) apply(e trace.Event) (Op, bool) {
 	c.st.Events++
-	var fe *fileEntry
+	var size *int64
 	if e.Op != trace.OpMigrate {
-		var inserted bool
-		fe, inserted = c.files.ensure(e.File)
-		if inserted {
+		var had bool
+		size, had = c.files.Ref(blockmap.Key{File: e.File})
+		if !had {
 			c.st.Files++
 		}
 	}
@@ -340,34 +227,34 @@ func (c *Canonicalizer) apply(e trace.Event) (Op, bool) {
 		out(Op{Time: e.Time, Client: e.Client, Kind: Close, File: e.File})
 	case trace.OpRead:
 		r := interval.Range{Start: e.Offset, End: e.Offset + e.Length}
-		if r.End > fe.size {
+		if r.End > *size {
 			// Reads of files that predate the trace reveal their size.
-			fe.size = r.End
+			*size = r.End
 		}
 		c.st.BytesRead += r.Len()
 		out(Op{Time: e.Time, Client: e.Client, Kind: Read, File: e.File, Range: r})
 	case trace.OpWrite:
 		r := interval.Range{Start: e.Offset, End: e.Offset + e.Length}
-		if r.End > fe.size {
-			fe.size = r.End
+		if r.End > *size {
+			*size = r.End
 		}
 		c.st.BytesWritten += r.Len()
 		out(Op{Time: e.Time, Client: e.Client, Kind: Write, File: e.File, Range: r})
 	case trace.OpTruncate:
-		old := fe.size
+		old := *size
 		if e.Offset < old {
 			r := interval.Range{Start: e.Offset, End: old}
 			c.st.BytesDeleted += r.Len()
 			out(Op{Time: e.Time, Client: e.Client, Kind: DeleteRange, File: e.File, Range: r})
 		}
-		fe.size = e.Offset
+		*size = e.Offset
 	case trace.OpDelete:
-		if old := fe.size; old > 0 {
+		if old := *size; old > 0 {
 			r := interval.Range{Start: 0, End: old}
 			c.st.BytesDeleted += r.Len()
 			out(Op{Time: e.Time, Client: e.Client, Kind: DeleteRange, File: e.File, Range: r})
 		}
-		c.files.del(e.File)
+		c.files.Del(blockmap.Key{File: e.File})
 	case trace.OpFsync:
 		c.st.Fsyncs++
 		out(Op{Time: e.Time, Client: e.Client, Kind: Fsync, File: e.File})
