@@ -100,24 +100,21 @@ func TestCleanerFingerprints(t *testing.T) {
 		buffer   int64
 		policy   CleanPolicy
 		variant  int
-		absorb   bool   // Config.BufferAbsorbsAgeFlush
 		stats    uint64 // FNV-1a of the %+v-formatted Stats
 		durable  uint64 // DurableFingerprint
 	}{
-		{1, 64, 0, CleanGreedy, plainMix, false, 0xf26120f3a993e238, 0x1903ce2e51ac104e},
-		{1, 64, 512 * kb, CleanGreedy, plainMix, false, 0xac6393f377db712a, 0x3696f5133be92b3f},
-		{1, 64, 0, CleanCostBenefit, plainMix, false, 0x762a8fcf553744a9, 0x9fc6a5d99ab26c87},
-		{1, 64, 512 * kb, CleanCostBenefit, plainMix, false, 0xa75cec14bb389383, 0x2e07b5a2147a708a},
-		{2, 96, 0, CleanGreedy, plainMix, false, 0x8c34691ce5c31295, 0x945e190eba5ca870},
-		{2, 96, 512 * kb, CleanGreedy, plainMix, false, 0xe12b69f35c9e1386, 0x2abf7254ddb2536d},
-		{2, 96, 0, CleanCostBenefit, plainMix, false, 0x17750b08561f9ca7, 0x2078e5539be894c5},
-		{2, 96, 512 * kb, CleanCostBenefit, plainMix, false, 0x9a8caaa5ccd6667d, 0x58e4fe50224faa84},
-		{3, 64, 0, CleanGreedy, sameInstant, false, 0x186feb9b2c938950, 0xfe983aac71edd95e},
-		{3, 64, 512 * kb, CleanCostBenefit, sameInstant, false, 0x2dd51a6232c884d8, 0x80bb6566a5c2ebec},
-		{4, 64, 0, CleanGreedy, backdated, false, 0x70741a6ae0a2bfc5, 0xc248266acabaee48},
-		{4, 64, 512 * kb, CleanGreedy, backdated, false, 0xdf24fbf70d0edb77, 0x37d1730174e643eb},
-		{5, 64, 512 * kb, CleanGreedy, plainMix, true, 0xfbdd94b5880d8a3a, 0x5fda5d1fe84aa11c},
-		{5, 64, 512 * kb, CleanCostBenefit, sameInstant, true, 0x85894823e6691f44, 0x2e632f2dcd4b834b},
+		{1, 64, 0, CleanGreedy, plainMix, 0xf26120f3a993e238, 0x1903ce2e51ac104e},
+		{1, 64, 512 * kb, CleanGreedy, plainMix, 0xac6393f377db712a, 0x3696f5133be92b3f},
+		{1, 64, 0, CleanCostBenefit, plainMix, 0x762a8fcf553744a9, 0x9fc6a5d99ab26c87},
+		{1, 64, 512 * kb, CleanCostBenefit, plainMix, 0xa75cec14bb389383, 0x2e07b5a2147a708a},
+		{2, 96, 0, CleanGreedy, plainMix, 0x8c34691ce5c31295, 0x945e190eba5ca870},
+		{2, 96, 512 * kb, CleanGreedy, plainMix, 0xe12b69f35c9e1386, 0x2abf7254ddb2536d},
+		{2, 96, 0, CleanCostBenefit, plainMix, 0x17750b08561f9ca7, 0x2078e5539be894c5},
+		{2, 96, 512 * kb, CleanCostBenefit, plainMix, 0x9a8caaa5ccd6667d, 0x58e4fe50224faa84},
+		{3, 64, 0, CleanGreedy, sameInstant, 0x186feb9b2c938950, 0xfe983aac71edd95e},
+		{3, 64, 512 * kb, CleanCostBenefit, sameInstant, 0x2dd51a6232c884d8, 0x80bb6566a5c2ebec},
+		{4, 64, 0, CleanGreedy, backdated, 0x70741a6ae0a2bfc5, 0xc248266acabaee48},
+		{4, 64, 512 * kb, CleanGreedy, backdated, 0xdf24fbf70d0edb77, 0x37d1730174e643eb},
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("seed%d/%dsegs/buf%d/%v", c.seed, c.segments, c.buffer, c.policy)
@@ -127,13 +124,10 @@ func TestCleanerFingerprints(t *testing.T) {
 		case backdated:
 			name += "/backdated"
 		}
-		if c.absorb {
-			name += "/absorb"
-		}
 		t.Run(name, func(t *testing.T) {
 			fs := cleanerWorkload(t, c.seed, Config{
 				DiskSegments: c.segments, CleanLowWater: 8, CleanHighWater: 16,
-				BufferBytes: c.buffer, BufferAbsorbsAgeFlush: c.absorb, Cleaner: c.policy,
+				BufferBytes: c.buffer, Cleaner: c.policy,
 			}, c.variant)
 			st := fs.Stats()
 			if st.CleanerRuns == 0 || st.CleanerBlocksCopied == 0 {

@@ -305,30 +305,6 @@ func TestSegCauseString(t *testing.T) {
 	}
 }
 
-func TestBufferAbsorbsAgeFlushExtension(t *testing.T) {
-	// Extension beyond the paper: with BufferAbsorbsAgeFlush every write
-	// lands in NVRAM directly, so the disk never sees an age-forced
-	// partial — only full segments (plus the final shutdown flush).
-	fs := newFS(t, Config{BufferBytes: 512 * kb, BufferAbsorbsAgeFlush: true})
-	per := int64(fs.Config().BlocksPerSegment())
-	var now int64
-	for i := int64(0); i < 3*per; i++ {
-		fs.Write(now, 1, i*4*kb, 4*kb)
-		now += 10 * sec // every block would age out in the plain config
-	}
-	st := fs.Stats()
-	if st.PartialAgeSegments != 0 {
-		t.Fatalf("age partials with absorbing buffer: %+v", st)
-	}
-	if st.FullSegments != 3 {
-		t.Fatalf("full segments = %d, want 3", st.FullSegments)
-	}
-	fs.Shutdown(now)
-	if fs.PendingBlocks() != 0 {
-		t.Fatal("pending after shutdown")
-	}
-}
-
 func TestCostBenefitCleaner(t *testing.T) {
 	// A hot/cold workload: the cold file is written once and fragmented a
 	// little; the hot region is rewritten constantly. Cost-benefit should
