@@ -128,8 +128,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // NewBytesReader returns a Reader decoding an in-memory encoded trace.
 // It produces exactly the stream NewReader would, but decodes events
-// straight off the slice instead of through per-byte io.ByteReader
-// calls.
+// straight off the slice instead of copying them through a buffer.
 func NewBytesReader(data []byte) (*Reader, error) {
 	br := bytes.NewReader(data)
 	h, err := readHeader(br)
@@ -189,32 +188,6 @@ func readHeader(r interface {
 	}, nil
 }
 
-// readSlice is Read over an in-memory trace: the same checks and the same
-// events, decoded by decodeEvent without the buffered-reader indirection.
-func (tr *Reader) readSlice() (Event, error) {
-	var e Event
-	dt, n, err := decodeEvent(tr.data[tr.pos:], &e)
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: %w", tr.index, err)
-	}
-	tr.pos += n
-	if e.Op == 0 {
-		tr.done = true
-		return Event{}, io.EOF
-	}
-	if dt > uint64(math.MaxInt64-tr.lastTime) {
-		return Event{}, fmt.Errorf("trace: event %d: time delta %d after %dus wraps the clock (non-monotonic stream)",
-			tr.index, dt, tr.lastTime)
-	}
-	tr.lastTime += int64(dt)
-	e.Time = tr.lastTime
-	if err := e.Validate(); err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: corrupt event: %w", tr.index, err)
-	}
-	tr.index++
-	return e, nil
-}
-
 // Header returns the trace file header.
 func (tr *Reader) Header() Header { return tr.header }
 
@@ -229,24 +202,14 @@ func (tr *Reader) Read() (Event, error) {
 	if tr.done {
 		return Event{}, io.EOF
 	}
-	if tr.data != nil {
-		return tr.readSlice()
-	}
-	dt, err := binary.ReadUvarint(tr.r)
+	var e Event
+	dt, err := tr.decode(&e)
 	if err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: reading time delta: %w", tr.index, noEOF(err))
+		return Event{}, fmt.Errorf("trace: event %d: %w", tr.index, err)
 	}
-	opByte, err := tr.r.ReadByte()
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: reading op: %w", tr.index, noEOF(err))
-	}
-	if opByte == 0 {
+	if e.Op == 0 {
 		tr.done = true
 		return Event{}, io.EOF
-	}
-	e := Event{Op: Op(opByte)}
-	if !e.Op.Valid() {
-		return Event{}, fmt.Errorf("trace: event %d: invalid op byte %d", tr.index, opByte)
 	}
 	if dt > uint64(math.MaxInt64-tr.lastTime) {
 		return Event{}, fmt.Errorf("trace: event %d: time delta %d after %dus wraps the clock (non-monotonic stream)",
@@ -254,37 +217,6 @@ func (tr *Reader) Read() (Event, error) {
 	}
 	tr.lastTime += int64(dt)
 	e.Time = tr.lastTime
-	client, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	e.Client = uint32(client)
-	if e.File, err = binary.ReadUvarint(tr.r); err != nil {
-		return Event{}, noEOF(err)
-	}
-	off, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	e.Offset = int64(off)
-	switch e.Op {
-	case OpRead, OpWrite:
-		l, err := binary.ReadUvarint(tr.r)
-		if err != nil {
-			return Event{}, noEOF(err)
-		}
-		e.Length = int64(l)
-	case OpOpen:
-		if e.Flags, err = tr.r.ReadByte(); err != nil {
-			return Event{}, noEOF(err)
-		}
-	case OpMigrate:
-		tgt, err := binary.ReadUvarint(tr.r)
-		if err != nil {
-			return Event{}, noEOF(err)
-		}
-		e.Target = uint32(tgt)
-	}
 	// A well-formed writer only produces valid events, so an invalid one
 	// here means the stream is corrupt (or not a trace at all).
 	if err := e.Validate(); err != nil {
@@ -292,6 +224,27 @@ func (tr *Reader) Read() (Event, error) {
 	}
 	tr.index++
 	return e, nil
+}
+
+// decode decodes the next event body into e with decodeEvent, straight
+// off the in-memory trace or off the buffered stream's next maxEventLen
+// bytes, and returns its time delta. A body cut short by the end of the
+// stream is io.ErrUnexpectedEOF (a well-formed trace ends with an explicit
+// terminator); a body cut short by any other read error returns that
+// error.
+func (tr *Reader) decode(e *Event) (uint64, error) {
+	if tr.data != nil {
+		dt, n, err := decodeEvent(tr.data[tr.pos:], e)
+		tr.pos += n
+		return dt, err
+	}
+	b, readErr := tr.r.Peek(maxEventLen)
+	dt, n, err := decodeEvent(b, e)
+	if err == io.ErrUnexpectedEOF && readErr != nil && readErr != io.EOF {
+		return 0, readErr
+	}
+	tr.r.Discard(n) // n <= len(b) bytes are buffered, so this cannot fail
+	return dt, err
 }
 
 // Next implements EventSource over the remaining events.
@@ -319,13 +272,4 @@ func (tr *Reader) ReadAll() ([]Event, error) {
 		}
 		evs = append(evs, e)
 	}
-}
-
-// noEOF converts io.EOF into io.ErrUnexpectedEOF: a well-formed trace ends
-// with an explicit terminator, so EOF mid-event is corruption.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 )
@@ -135,8 +137,17 @@ func TestReaderDetectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = r.ReadAll()
-	if err == nil {
-		t.Fatal("truncated trace read without error")
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated trace: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	// A read error that cuts an event short is returned as it is.
+	boom := errors.New("boom")
+	r, err = NewReader(io.MultiReader(bytes.NewReader(trunc), iotest.ErrReader(boom)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = r.ReadAll(); !errors.Is(err, boom) {
+		t.Fatalf("failing reader: err = %v, want %v", err, boom)
 	}
 }
 
