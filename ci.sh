@@ -65,6 +65,7 @@ go test -count=1 -run 'TestGoldenOutput/j1' ./cmd/nvreport
 go test -run '^$' -fuzz '^FuzzBroadcastMatchesRuns$' -fuzztime 20s -fuzzminimizetime 1s ./internal/sim
 go test -run '^$' -fuzz '^FuzzCacheModels$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cache
 go test -run '^$' -fuzz '^FuzzPendingQueue$' -fuzztime 10s -fuzzminimizetime 1s ./internal/workload
+go test -run '^$' -fuzz '^FuzzTableMatchesMap$' -fuzztime 10s -fuzzminimizetime 1s ./internal/blockmap
 
 # The report package simulates every figure's grid at test scale several
 # times over (the golden render at one and eight workers, the call-order
