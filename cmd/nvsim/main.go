@@ -134,7 +134,7 @@ func main() {
 	fmt.Printf("model=%s policy=%s volatile=%.2fMB nvram=%.2fMB\n", *model, *policy, *volatileMB, *nvramMB)
 	fmt.Printf("application:   %12d B read   %12d B written\n", t.AppReadBytes, t.AppWriteBytes)
 	fmt.Printf("server reads:  %12d B (hit rate %.1f%%)\n", t.ServerReadBytes,
-		100*float64(t.ReadHitBytes)/maxf(float64(t.AppReadBytes), 1))
+		100*float64(t.ReadHitBytes)/max(float64(t.AppReadBytes), 1))
 	fmt.Printf("server writes: %12d B   net write traffic %.1f%%\n", t.ServerWriteBytes(), 100*t.NetWriteFrac())
 	for c := 0; c < int(len(t.WriteBack)); c++ {
 		if t.WriteBack[c] > 0 {
@@ -289,11 +289,4 @@ func causeName(i int) string {
 		return names[i]
 	}
 	return fmt.Sprintf("cause%d", i)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

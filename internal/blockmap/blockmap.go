@@ -16,11 +16,22 @@
 // entries back so no hole opens inside a probe chain.
 package blockmap
 
+import "cmp"
+
 // Key identifies one file block: a file id and a block index. Tables keyed
 // by file alone use Index 0.
 type Key struct {
 	File  uint64
 	Index int64
+}
+
+// Compare orders keys by file, then index: the canonical order in which
+// the simulators hand unordered blocks to a file system.
+func Compare(a, b Key) int {
+	if c := cmp.Compare(a.File, b.File); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // Hash is a splitmix64-style finalizer over both halves of the key: cheap,

@@ -3,6 +3,7 @@ package cache
 import (
 	"slices"
 
+	"nvramfs/internal/heapq"
 	"nvramfs/internal/interval"
 )
 
@@ -24,7 +25,7 @@ type core struct {
 	cfg     Config
 	vol     *Pool
 	nv      *Pool
-	cleaner cleanerHeap
+	cleaner heapq.Heap[cleanerEntry, cleanerOrder]
 	traffic Traffic
 }
 
@@ -52,67 +53,19 @@ func (c *core) NoteConcurrent(read bool, n int64) {
 	}
 }
 
-// cleanerHeap schedules volatile blocks for the delayed write-back,
-// ordered by the time their dirty data first appeared. Entries are lazily
-// invalidated: a popped entry is ignored unless the block is still dirty
-// with the same first-dirty time.
-//
-// The heap is hand-rolled (mirroring container/heap's sift order exactly,
-// so equal-time entries pop in the same order as before) because
-// heap.Push/Pop box every entry through interface{}, which was a per-write
-// allocation on the hot path.
+// cleanerEntry schedules a volatile block for the delayed write-back; the
+// cleaner heap orders them by the time their dirty data first appeared.
+// Entries are lazily invalidated: a popped entry is ignored unless the
+// block is still dirty with the same first-dirty time.
 type cleanerEntry struct {
 	at int64
 	id BlockID
 }
 
-type cleanerHeap []cleanerEntry
+type cleanerOrder struct{}
 
-func (h cleanerHeap) less(i, j int) bool { return h[i].at < h[j].at }
-
-func (h cleanerHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h cleanerHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-func (h *cleanerHeap) push(e cleanerEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *cleanerHeap) pop() cleanerEntry {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	s.down(0, n)
-	*h = s[:n]
-	return s[n]
-}
+func (cleanerOrder) Less(a, b cleanerEntry) bool { return a.at < b.at }
+func (cleanerOrder) Moved(cleanerEntry, int)     {}
 
 // dirtyVolatile notes a write into volatile block b: a block that was
 // clean becomes due for the delayed write-back WriteBackDelay from now. A
@@ -121,7 +74,7 @@ func (h *cleanerHeap) pop() cleanerEntry {
 func (c *core) dirtyVolatile(now int64, b *Block) {
 	if b.FirstDirty == -1 {
 		b.FirstDirty = now
-		c.cleaner.push(cleanerEntry{at: now, id: b.ID})
+		c.cleaner.Push(cleanerEntry{at: now, id: b.ID})
 	}
 }
 
@@ -131,7 +84,7 @@ func (c *core) dirtyVolatile(now int64, b *Block) {
 // firstDirty+delay, an equivalent idealization.)
 func (c *core) Advance(now int64) {
 	for len(c.cleaner) > 0 && c.cleaner[0].at+c.cfg.WriteBackDelay <= now {
-		e := c.cleaner.pop()
+		e := c.cleaner.Pop()
 		b := c.vol.Get(e.id)
 		if b == nil || !b.IsDirty() || b.FirstDirty != e.at {
 			continue // stale entry

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"nvramfs/internal/heapq"
 )
 
 // PolicyKind selects a block replacement policy for the NVRAM.
@@ -265,11 +267,6 @@ func (p *randomPolicy) fork(copyOf func(*Block) *Block) Policy {
 // when it is inserted or modified: between modifications the "next modify
 // after the last write" remains the correct next modify time, so no decay
 // pass is needed.
-//
-// The sift routines replicate container/heap's algorithm exactly (including
-// its traversal order), so the heap layout — and therefore the victim chosen
-// among equal keys — is identical to the previous container/heap-based
-// implementation, without the per-operation interface boxing.
 
 // timesSchedule is the fast path a Schedule may offer: direct access to a
 // block's (sorted, read-only) modification times, letting the policy keep
@@ -282,8 +279,15 @@ type timesSchedule interface {
 type omniscientPolicy struct {
 	sched Schedule
 	times timesSchedule // non-nil when sched exposes its time slices
-	heap  []*Block
+	heap  heapq.Heap[*Block, omniscientOrder]
 }
+
+// omniscientOrder puts the furthest next modify on top and keeps each
+// block's heap slot in polIdx.
+type omniscientOrder struct{}
+
+func (omniscientOrder) Less(a, b *Block) bool { return a.nextMod > b.nextMod }
+func (omniscientOrder) Moved(b *Block, i int) { b.polIdx = i }
 
 // nextModify is sched.NextModify through the block's cursor when the
 // schedule supports it: simulation time is non-decreasing, so the cursor
@@ -313,61 +317,13 @@ func (p *omniscientPolicy) nextModify(b *Block, now int64) int64 {
 
 func (p *omniscientPolicy) Len() int { return len(p.heap) }
 
-func (p *omniscientPolicy) less(i, j int) bool { return p.heap[i].nextMod > p.heap[j].nextMod }
-
-func (p *omniscientPolicy) swap(i, j int) {
-	p.heap[i], p.heap[j] = p.heap[j], p.heap[i]
-	p.heap[i].polIdx = i
-	p.heap[j].polIdx = j
-}
-
-func (p *omniscientPolicy) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !p.less(j, i) {
-			break
-		}
-		p.swap(i, j)
-		j = i
-	}
-}
-
-func (p *omniscientPolicy) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && p.less(j2, j1) {
-			j = j2
-		}
-		if !p.less(j, i) {
-			break
-		}
-		p.swap(i, j)
-		i = j
-	}
-	return i > i0
-}
-
-func (p *omniscientPolicy) fix(i int) {
-	if !p.down(i, len(p.heap)) {
-		p.up(i)
-	}
-}
-
 func (p *omniscientPolicy) Insert(b *Block, now int64) {
+	b.nextMod = p.nextModify(b, now)
 	if b.polIdx >= 0 {
-		b.nextMod = p.nextModify(b, now)
-		p.fix(b.polIdx)
+		p.heap.Fix(b.polIdx)
 		return
 	}
-	b.nextMod = p.nextModify(b, now)
-	b.polIdx = len(p.heap)
-	p.heap = append(p.heap, b)
-	p.up(b.polIdx)
+	p.heap.Push(b)
 }
 
 func (p *omniscientPolicy) Touch(*Block, int64) {}
@@ -375,26 +331,15 @@ func (p *omniscientPolicy) Touch(*Block, int64) {}
 func (p *omniscientPolicy) Modify(b *Block, now int64) {
 	if b.polIdx >= 0 {
 		b.nextMod = p.nextModify(b, now)
-		p.fix(b.polIdx)
+		p.heap.Fix(b.polIdx)
 	}
 }
 
 func (p *omniscientPolicy) Remove(b *Block) {
-	i := b.polIdx
-	if i < 0 {
-		return
+	if b.polIdx >= 0 {
+		p.heap.Remove(b.polIdx)
+		b.polIdx = -1
 	}
-	n := len(p.heap) - 1
-	if n != i {
-		p.swap(i, n)
-		p.heap = p.heap[:n]
-		if !p.down(i, n) {
-			p.up(i)
-		}
-	} else {
-		p.heap = p.heap[:n]
-	}
-	b.polIdx = -1
 }
 
 func (p *omniscientPolicy) Victim() (*Block, bool) {

@@ -530,8 +530,9 @@ func (x *Injector) Close(end int64) {
 // printed table carries what reproduces it.
 func (p Profile) Describe() string {
 	p.fillDefaults()
-	s := fmt.Sprintf("seed=%d drop=%g ackloss=%g spike=%gx%d retries=%d",
-		p.Seed, p.DropRate, p.AckLossRate, p.SpikeRate, p.SpikeFactor, p.MaxAttempts)
+	s := fmt.Sprintf("seed=%d drop=%g ackloss=%g spike=%gx%d retries=%d backoff=%v cap=%v",
+		p.Seed, p.DropRate, p.AckLossRate, p.SpikeRate, p.SpikeFactor, p.MaxAttempts,
+		time.Duration(p.BackoffBase)*time.Microsecond, time.Duration(p.BackoffCap)*time.Microsecond)
 	for _, w := range p.Outages {
 		if w.End == Never {
 			s += fmt.Sprintf(" outage=[%gs,never)", float64(w.Start)/1e6)

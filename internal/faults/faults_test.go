@@ -259,6 +259,11 @@ func TestFaultParseSpecErrors(t *testing.T) {
 		{"", "valid keys"},
 		{"bogus=1", "valid keys"},
 		{"drop=2", "[0,1]"},
+		{"drop=NaN", "[0,1]"},
+		{"ackloss=nan", "[0,1]"},
+		{"backoff=500ns", "1µs"},
+		{"cap=999ns", "1µs"},
+		{"outage=1s+500ns", "1µs"},
 		{"drop", "needs a value"},
 		{"retries=0", "not positive"},
 		{"outage=60s", "START+DUR"},
@@ -273,14 +278,30 @@ func TestFaultParseSpecErrors(t *testing.T) {
 }
 
 func TestFaultDescribeRoundTripsSeed(t *testing.T) {
-	p, err := ParseSpec("seed=123,drop=0.1,outage=1m+30s")
+	p, err := ParseSpec("seed=123,drop=0.1,backoff=100ms,cap=2s,outage=1m+30s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := p.Describe()
-	for _, want := range []string{"seed=123", "drop=0.1", "outage=[60s,90s)"} {
+	for _, want := range []string{"seed=123", "drop=0.1", "retries=6 backoff=100ms cap=2s", "outage=[60s,90s)"} {
 		if !strings.Contains(d, want) {
 			t.Fatalf("Describe() = %q missing %q", d, want)
 		}
+	}
+	// The retry policy's defaults are spelled out too, in a form the
+	// spec parser reads back to the same values.
+	d = Profile{Seed: 7}.Describe()
+	var retry []string
+	for _, f := range strings.Fields(d) {
+		if strings.HasPrefix(f, "backoff=") || strings.HasPrefix(f, "cap=") {
+			retry = append(retry, f)
+		}
+	}
+	q, err := ParseSpec(strings.Join(retry, ","))
+	if err != nil {
+		t.Fatalf("Describe() = %q: %v", d, err)
+	}
+	if q.BackoffBase != 250_000 || q.BackoffCap != 4_000_000 {
+		t.Fatalf("Describe() = %q reads back as backoff %dus cap %dus", d, q.BackoffBase, q.BackoffCap)
 	}
 }

@@ -117,7 +117,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("not a number: %q", s)
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // NaN fails both
 		return 0, fmt.Errorf("%g outside [0,1]", f)
 	}
 	return f, nil
@@ -141,6 +141,9 @@ func parseDurationUS(s string) (int64, error) {
 	}
 	if d <= 0 {
 		return 0, fmt.Errorf("duration %v is not positive", d)
+	}
+	if d < time.Microsecond {
+		return 0, fmt.Errorf("duration %v is under the 1µs resolution", d)
 	}
 	return int64(d / time.Microsecond), nil
 }

@@ -25,11 +25,6 @@ func (r Range) Empty() bool { return r.End <= r.Start }
 // Contains reports whether b lies within the range.
 func (r Range) Contains(b int64) bool { return b >= r.Start && b < r.End }
 
-// Overlaps reports whether r and o share at least one byte.
-func (r Range) Overlaps(o Range) bool {
-	return r.Start < o.End && o.Start < r.End
-}
-
 // Intersect returns the overlap of r and o (possibly empty).
 func (r Range) Intersect(o Range) Range {
 	s, e := r.Start, r.End
@@ -202,22 +197,6 @@ func (s *Set) OverlapLen(r Range) int64 {
 	var n int64
 	for i := lo; i < len(s.rs) && s.rs[i].Start < r.End; i++ {
 		n += s.rs[i].Intersect(r).Len()
-	}
-	return n
-}
-
-// AddSet inserts every byte of o into s.
-func (s *Set) AddSet(o *Set) {
-	for _, r := range o.rs {
-		s.Add(r)
-	}
-}
-
-// RemoveSet deletes every byte of o from s, returning bytes removed.
-func (s *Set) RemoveSet(o *Set) int64 {
-	var n int64
-	for _, r := range o.rs {
-		n += s.Remove(r)
 	}
 	return n
 }

@@ -43,16 +43,6 @@ type TagMap struct {
 // NewTagMap returns an empty TagMap.
 func NewTagMap() *TagMap { return &TagMap{} }
 
-// Grow pre-sizes the map for at least n segments, so the first n inserts
-// never reallocate.
-func (m *TagMap) Grow(n int) {
-	if cap(m.segs) < n {
-		segs := make([]Seg, len(m.segs), n)
-		copy(segs, m.segs)
-		m.segs = segs
-	}
-}
-
 // Len returns the total number of tagged bytes.
 func (m *TagMap) Len() int64 {
 	var n int64

@@ -34,6 +34,7 @@ import (
 
 	"nvramfs/internal/blockmap"
 	"nvramfs/internal/disk"
+	"nvramfs/internal/heapq"
 	"nvramfs/internal/nvram"
 )
 
@@ -247,14 +248,7 @@ type blockID = blockmap.Key
 
 // sortBlockIDs orders ids by (file, index), the canonical order for
 // batches whose source is an unordered table.
-func sortBlockIDs(ids []blockID) { slices.SortFunc(ids, compareBlockIDs) }
-
-func compareBlockIDs(a, b blockID) int {
-	if c := cmp.Compare(a.File, b.File); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Index, b.Index)
-}
+func sortBlockIDs(ids []blockID) { slices.SortFunc(ids, blockmap.Compare) }
 
 // FS is one simulated log-structured file system.
 type FS struct {
@@ -266,7 +260,7 @@ type FS struct {
 	// times, plus an age heap for the delayed write-back. Every dirty block
 	// has a live entry in the heap.
 	dirty   blockmap.Table[dirtyBlock]
-	ageHeap ageHeap
+	ageHeap heapq.Heap[ageEntry, ageOrder]
 
 	// Blocks parked in the NVRAM buffer by fsync (permanent, so exempt
 	// from the age flush). Empty when no buffer is configured.
@@ -352,50 +346,26 @@ func (fs *FS) Stats() *Stats { return &fs.stats }
 // Disk returns the underlying disk.
 func (fs *FS) Disk() *disk.Disk { return fs.disk }
 
-// ageHeap is a min-heap of dirty blocks in (first-dirty time, file,
-// index) order, lazily invalidated: an entry is stale once dirty no
-// longer holds its time for its block.
+// ageEntry is a dirty block on the age heap, which orders them by
+// (first-dirty time, file, index). Entries are lazily invalidated: one is
+// stale once dirty no longer holds its time for its block.
 type ageEntry struct {
 	at int64
 	id blockID
 }
-
-func (a ageEntry) less(b ageEntry) bool { return compareAgeEntries(a, b) < 0 }
 
 // compareAgeEntries is the heap's order; the drain sorts by it too.
 func compareAgeEntries(a, b ageEntry) int {
 	if c := cmp.Compare(a.at, b.at); c != 0 {
 		return c
 	}
-	return compareBlockIDs(a.id, b.id)
+	return blockmap.Compare(a.id, b.id)
 }
 
-type ageHeap []ageEntry
+type ageOrder struct{}
 
-func (h *ageHeap) push(e ageEntry) {
-	s := append(*h, e)
-	for i := len(s) - 1; i > 0 && s[i].less(s[(i-1)/2]); i = (i - 1) / 2 {
-		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
-	}
-	*h = s
-}
-
-func (h *ageHeap) pop() ageEntry {
-	s := *h
-	top, n := s[0], len(s)-1
-	s[0], s = s[n], s[:n]
-	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
-		if c+1 < n && s[c+1].less(s[c]) {
-			c++
-		}
-		if !s[c].less(s[i]) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-	}
-	*h = s
-	return top
-}
+func (ageOrder) Less(a, b ageEntry) bool { return compareAgeEntries(a, b) < 0 }
+func (ageOrder) Moved(ageEntry, int)     {}
 
 // Advance moves simulated time forward, running the 5-second flusher.
 func (fs *FS) Advance(now int64) {
@@ -420,7 +390,7 @@ func (fs *FS) Advance(now int64) {
 			if fs.ageHeap[0].at > cutoff {
 				break
 			}
-			if e := fs.ageHeap.pop(); fs.takeLive(e) {
+			if e := fs.ageHeap.Pop(); fs.takeLive(e) {
 				batch = append(batch, e.id)
 			}
 		}
@@ -457,7 +427,7 @@ func (fs *FS) Write(now int64, file uint64, off, n int64) {
 			fs.stats.BlocksAbsorbed++
 			fs.bufferRemove(id)
 		}
-		fs.ageHeap.push(ageEntry{at: now, id: id})
+		fs.ageHeap.Push(ageEntry{at: now, id: id})
 	}
 	f.extent = max(f.extent, idx)
 	fs.drainFullSegments()

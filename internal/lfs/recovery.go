@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"nvramfs/internal/blockmap"
 	"nvramfs/internal/nvram"
 )
 
@@ -279,7 +280,7 @@ func (fs *FS) CheckConsistent() error { return fs.checkConsistent() }
 func (fs *FS) ForEachPending(fn func(file uint64, index int64, at int64, stable bool)) {
 	dirty := make([]ageEntry, 0, fs.dirty.Len())
 	fs.dirty.Each(func(id blockID, d dirtyBlock) { dirty = append(dirty, ageEntry{at: d.at, id: id}) })
-	slices.SortFunc(dirty, func(a, b ageEntry) int { return compareBlockIDs(a.id, b.id) })
+	slices.SortFunc(dirty, func(a, b ageEntry) int { return blockmap.Compare(a.id, b.id) })
 	for _, e := range dirty {
 		fn(e.id.File, e.id.Index, e.at, false)
 	}

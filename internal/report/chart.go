@@ -13,7 +13,6 @@ import (
 type Chart struct {
 	Title  string
 	XLabel string
-	YLabel string
 	// LogX plots x on a log10 scale (Figures 2-4 use log axes).
 	LogX   bool
 	X      []float64
@@ -123,13 +122,6 @@ func (c *Chart) Render(w io.Writer) error {
 	return nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Plot renders a PolicySweepResult as an ASCII chart.
 func (r *PolicySweepResult) Plot(w io.Writer, title string) error {
 	series := make([][]float64, len(r.Frac))
@@ -137,7 +129,7 @@ func (r *PolicySweepResult) Plot(w io.Writer, title string) error {
 		series[i] = scale100(s)
 	}
 	c := &Chart{
-		Title: title, XLabel: "MB NVRAM (log)", YLabel: "net write %",
+		Title: title, XLabel: "MB NVRAM (log)",
 		LogX: true, X: r.SizesMB, Labels: r.Labels, Series: series,
 	}
 	return c.Render(w)
@@ -151,7 +143,7 @@ func (r *ModelCompareResult) Plot(w io.Writer, title string) error {
 		series[i] = scale100(s)
 	}
 	c := &Chart{
-		Title: title, XLabel: "extra MB", YLabel: "net total %",
+		Title: title, XLabel: "extra MB",
 		X: r.ExtraMB, Labels: r.Labels, Series: series,
 	}
 	return c.Render(w)

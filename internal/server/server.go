@@ -14,13 +14,13 @@
 package server
 
 import (
-	"cmp"
-	"container/heap"
 	"container/list"
 	"fmt"
 	"slices"
 
+	"nvramfs/internal/blockmap"
 	"nvramfs/internal/disk"
+	"nvramfs/internal/heapq"
 	"nvramfs/internal/lfs"
 )
 
@@ -63,14 +63,9 @@ type Stats struct {
 	NVRAMBlocksIn  int64 // dirty blocks placed in the NVRAM region
 }
 
-type blockID struct {
-	file  uint64
-	index int64
-}
-
 // entry is one cached block.
 type entry struct {
-	id         blockID
+	id         blockmap.Key
 	dirty      bool
 	inNVRAM    bool
 	nvAt       int // position in Server.nv while inNVRAM
@@ -99,7 +94,7 @@ type Server struct {
 	lru    *list.List // of every cached *entry; front = most recently used
 	nv     []*entry   // the dirty entries in the NVRAM region, unordered
 	nDirty int
-	ageHp  srvAgeHeap
+	ageHp  heapq.Heap[srvAgeEntry, srvAgeOrder]
 
 	stats Stats
 }
@@ -135,31 +130,24 @@ func (s *Server) Disk() *disk.Disk { return s.d }
 // Stats returns the server-level counters.
 func (s *Server) Stats() *Stats { return &s.stats }
 
-// srvAgeHeap orders volatile dirty blocks by first-dirty time.
+// srvAgeEntry is a volatile dirty block on the age heap, which orders them
+// by first-dirty time.
 type srvAgeEntry struct {
 	at int64
-	id blockID
+	id blockmap.Key
 }
-type srvAgeHeap []srvAgeEntry
 
-func (h srvAgeHeap) Len() int            { return len(h) }
-func (h srvAgeHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h srvAgeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *srvAgeHeap) Push(x interface{}) { *h = append(*h, x.(srvAgeEntry)) }
-func (h *srvAgeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
+type srvAgeOrder struct{}
+
+func (srvAgeOrder) Less(a, b srvAgeEntry) bool { return a.at < b.at }
+func (srvAgeOrder) Moved(srvAgeEntry, int)     {}
 
 // Advance flushes volatile dirty blocks older than the write-back delay
 // into the file system (where they become LFS dirty data subject to its
 // own segment assembly).
 func (s *Server) Advance(now int64) {
 	for len(s.ageHp) > 0 && s.ageHp[0].at+s.cfg.WriteBackDelay <= now {
-		e := heap.Pop(&s.ageHp).(srvAgeEntry)
+		e := s.ageHp.Pop()
 		b := s.lookup(e.id)
 		if b == nil || !b.dirty || b.inNVRAM || b.firstDirty != e.at {
 			continue
@@ -173,7 +161,7 @@ func (s *Server) Advance(now int64) {
 // flushBlock writes one dirty block into the file system and marks it
 // clean (it stays cached).
 func (s *Server) flushBlock(now int64, b *entry) {
-	s.fs.Write(now, b.id.file, b.id.index*s.cfg.BlockSize, s.cfg.BlockSize)
+	s.fs.Write(now, b.id.File, b.id.Index*s.cfg.BlockSize, s.cfg.BlockSize)
 	s.clean(b)
 }
 
@@ -210,9 +198,9 @@ func (s *Server) evictOne(now int64) {
 }
 
 // lookup returns the cached entry for id, or nil.
-func (s *Server) lookup(id blockID) *entry {
-	if fb := s.files[id.file]; fb != nil {
-		return fb.blocks[id.index]
+func (s *Server) lookup(id blockmap.Key) *entry {
+	if fb := s.files[id.File]; fb != nil {
+		return fb.blocks[id.Index]
 	}
 	return nil
 }
@@ -220,15 +208,15 @@ func (s *Server) lookup(id blockID) *entry {
 // drop removes the clean block b from the cache.
 func (s *Server) drop(b *entry) {
 	s.lru.Remove(b.lru)
-	delete(b.file.blocks, b.id.index)
+	delete(b.file.blocks, b.id.Index)
 	if len(b.file.blocks) == 0 {
-		delete(s.files, b.id.file)
+		delete(s.files, b.id.File)
 	}
 }
 
 // ensure returns the cached entry (promoted to MRU), creating and
 // evicting as needed.
-func (s *Server) ensure(now int64, id blockID) *entry {
+func (s *Server) ensure(now int64, id blockmap.Key) *entry {
 	if b := s.lookup(id); b != nil {
 		s.lru.MoveToFront(b.lru)
 		return b
@@ -236,14 +224,14 @@ func (s *Server) ensure(now int64, id blockID) *entry {
 	if s.lru.Len() >= s.capacity() {
 		s.evictOne(now)
 	}
-	fb := s.files[id.file]
+	fb := s.files[id.File]
 	if fb == nil {
 		fb = &fileBlocks{blocks: make(map[int64]*entry)}
-		s.files[id.file] = fb
+		s.files[id.File] = fb
 	}
 	b := &entry{id: id, file: fb}
 	b.lru = s.lru.PushFront(b)
-	fb.blocks[id.index] = b
+	fb.blocks[id.Index] = b
 	return b
 }
 
@@ -253,7 +241,7 @@ func (s *Server) Write(now int64, file uint64, off, n int64) {
 	s.Advance(now)
 	s.stats.WriteBytes += n
 	for idx := off / s.cfg.BlockSize; idx*s.cfg.BlockSize < off+n; idx++ {
-		id := blockID{file, idx}
+		id := blockmap.Key{File: file, Index: idx}
 		b := s.ensure(now, id)
 		if b.dirty {
 			// Overwritten before reaching the disk: absorbed. The age
@@ -273,7 +261,7 @@ func (s *Server) Write(now int64, file uint64, off, n int64) {
 		} else {
 			b.file.volDirty++
 			b.firstDirty = now
-			heap.Push(&s.ageHp, srvAgeEntry{at: now, id: id})
+			s.ageHp.Push(srvAgeEntry{at: now, id: id})
 		}
 	}
 	s.drainNVRAMIfSegmentReady(now)
@@ -299,12 +287,7 @@ func selectBlocks(keep func(*entry) bool, files ...*fileBlocks) []*entry {
 // blocks to the file system goes through here so a replay is
 // deterministic run to run.
 func sortBlocks(blocks []*entry) []*entry {
-	slices.SortFunc(blocks, func(a, b *entry) int {
-		if c := cmp.Compare(a.id.file, b.id.file); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id.index, b.id.index)
-	})
+	slices.SortFunc(blocks, func(a, b *entry) int { return blockmap.Compare(a.id, b.id) })
 	return blocks
 }
 
@@ -335,7 +318,7 @@ func (s *Server) Read(now int64, file uint64, off, n int64) {
 	s.Advance(now)
 	s.stats.ReadBytes += n
 	for idx := off / s.cfg.BlockSize; idx*s.cfg.BlockSize < off+n; idx++ {
-		id := blockID{file, idx}
+		id := blockmap.Key{File: file, Index: idx}
 		if b := s.lookup(id); b != nil {
 			s.lru.MoveToFront(b.lru)
 			s.stats.ReadHitBytes += s.cfg.BlockSize

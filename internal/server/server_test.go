@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nvramfs/internal/blockmap"
 	"nvramfs/internal/disk"
 	"nvramfs/internal/lfs"
 	"nvramfs/internal/serverload"
@@ -210,7 +211,7 @@ func TestCacheIndexConsistent(t *testing.T) {
 			}
 			volDirty := 0
 			for idx, b := range fb.blocks {
-				if b.id != (blockID{f, idx}) || b.file != fb {
+				if b.id != (blockmap.Key{File: f, Index: idx}) || b.file != fb {
 					t.Fatalf("op %d: entry %v cached as %d/%d", op, b.id, f, idx)
 				}
 				switch {

@@ -1,13 +1,13 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
 
+	"nvramfs/internal/heapq"
 	"nvramfs/internal/trace"
 )
 
@@ -117,7 +117,7 @@ type ActorConfig struct {
 // thousand at most) instead of the whole trace.
 type Cursor struct {
 	g     *generator
-	queue actorQueue
+	queue heapq.Heap[*actor, actorOrder]
 	count int64
 	err   error
 }
@@ -145,7 +145,7 @@ func NewCursor(p Profile) *Cursor {
 		// Stagger actor start times through the first hour so activity
 		// doesn't arrive in lockstep.
 		a.when = rng.Int63n(int64(time.Hour / time.Microsecond))
-		heap.Push(&c.queue, a)
+		c.queue.Push(a)
 	}
 	return c
 }
@@ -166,15 +166,15 @@ func (c *Cursor) Next() (trace.Event, bool, error) {
 		// a larger sequence number — i.e. stably after) timestamp than the
 		// queue's minimum.
 		if pq := &c.g.pending; len(pq.keys) > 0 &&
-			(c.queue.Len() == 0 || pq.keys[0].time <= c.queue[0].when) {
+			(len(c.queue) == 0 || pq.keys[0].time <= c.queue[0].when) {
 			e := c.g.pending.pop()
 			c.count++
 			return e, true, nil
 		}
-		if c.queue.Len() == 0 {
+		if len(c.queue) == 0 {
 			return trace.Event{}, false, nil
 		}
-		a := heap.Pop(&c.queue).(*actor)
+		a := c.queue.Pop()
 		if a.when >= c.g.horizon {
 			continue
 		}
@@ -188,7 +188,7 @@ func (c *Cursor) Next() (trace.Event, bool, error) {
 			return trace.Event{}, false, c.err
 		}
 		if a.when < c.g.horizon {
-			heap.Push(&c.queue, a)
+			c.queue.Push(a)
 		}
 	}
 }
@@ -395,17 +395,8 @@ func (q *pendingQueue) pop() trace.Event {
 	return e
 }
 
-// actorQueue is a min-heap of actors ordered by next action time.
-type actorQueue []*actor
+// actorOrder orders the scheduling heap by next action time.
+type actorOrder struct{}
 
-func (q actorQueue) Len() int            { return len(q) }
-func (q actorQueue) Less(i, j int) bool  { return q[i].when < q[j].when }
-func (q actorQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *actorQueue) Push(x interface{}) { *q = append(*q, x.(*actor)) }
-func (q *actorQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	a := old[n-1]
-	*q = old[:n-1]
-	return a
-}
+func (actorOrder) Less(a, b *actor) bool { return a.when < b.when }
+func (actorOrder) Moved(*actor, int)     {}
