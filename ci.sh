@@ -67,6 +67,7 @@ go test -run '^$' -fuzz '^FuzzCacheModels$' -fuzztime 10s -fuzzminimizetime 1s .
 go test -run '^$' -fuzz '^FuzzPendingQueue$' -fuzztime 10s -fuzzminimizetime 1s ./internal/workload
 go test -run '^$' -fuzz '^FuzzTableMatchesMap$' -fuzztime 10s -fuzzminimizetime 1s ./internal/blockmap
 go test -run '^$' -fuzz '^FuzzHeapMatchesContainerHeap$' -fuzztime 10s -fuzzminimizetime 1s ./internal/heapq
+go test -run '^$' -fuzz '^FuzzRunsMatchMap$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lfs
 
 # The report package simulates every figure's grid at test scale several
 # times over (the golden render at one and eight workers, the call-order

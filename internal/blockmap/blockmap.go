@@ -1,8 +1,8 @@
 // Package blockmap is the open-addressing hash table behind the
 // simulators' per-block and per-file state: the omniscient policy's
 // modification schedule, the client caches' per-file chains, the LFS's
-// block locations, dirty set and NVRAM buffer, and the canonicalizer's
-// file sizes.
+// block runs (each block's segment and first-dirty time, 64 blocks of a
+// file to an entry) and NVRAM buffer, and the canonicalizer's file sizes.
 //
 // Each of these is probed once or more for every block a simulation moves,
 // and Go's generic map (hashing a 16-byte key, group-wise control-byte

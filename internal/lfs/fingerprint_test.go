@@ -25,7 +25,8 @@ const (
 // overwrites, deletes, fsyncs and checkpoints — hard enough that the
 // cleaner runs many times — crashing and recovering once halfway so the
 // recovered instance's cleaner state is exercised too. In the plain mix
-// simulated time strictly increases between operations.
+// simulated time strictly increases between operations. checkRecount runs
+// after every operation.
 func cleanerWorkload(t *testing.T, seed int64, cfg Config, variant int) *FS {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -37,7 +38,15 @@ func cleanerWorkload(t *testing.T, seed int64, cfg Config, variant int) *FS {
 	)
 	per := int64(fs.Config().BlocksPerSegment())
 	var now int64
-	for i := 0; i < ops; i++ {
+	var i int
+	var logged int64 // the log position the last check covered
+	check := func() {
+		if err := checkRecount(fs, logged); err != nil {
+			t.Fatalf("op %d at %d: %v", i, now, err)
+		}
+		logged = fs.seq
+	}
+	for i = 0; i < ops; i++ {
 		if variant == backdated && rng.Intn(2) == 0 {
 			now += 1 + rng.Int63n(5000) // inside the last fsync window
 		} else {
@@ -52,8 +61,11 @@ func cleanerWorkload(t *testing.T, seed int64, cfg Config, variant int) *FS {
 			start := rng.Int63n(maxBlocks)
 			n := 1 + rng.Int63n(min(maxBlocks-start, 48))
 			fs.Write(now, file, start*4*kb, n*4*kb)
+			check()
 			fs.Delete(now, file)
+			check()
 			fs.Write(now, file, start*4*kb, n*4*kb)
+			check()
 			other := uint64(1 + (int(file)+rng.Intn(files-1))%files)
 			fs.Write(now, other, 0, per*4*kb)
 		case r < 70:
@@ -65,6 +77,7 @@ func cleanerWorkload(t *testing.T, seed int64, cfg Config, variant int) *FS {
 		case r < 98 && variant == backdated:
 			for k := int64(1); k <= 5; k++ {
 				fs.Fsync(now+k*1000, file)
+				check()
 			}
 		case r < 98:
 			fs.Fsync(now, file)
@@ -78,11 +91,10 @@ func cleanerWorkload(t *testing.T, seed int64, cfg Config, variant int) *FS {
 			}
 			fs = rec
 		}
+		check()
 	}
 	fs.Shutdown(now + sec)
-	if err := fs.checkConsistent(); err != nil {
-		t.Fatal(err)
-	}
+	check()
 	return fs
 }
 

@@ -61,12 +61,12 @@ func (cp *checkpointRec) clone() *checkpointRec {
 func (fs *FS) snapshot() *checkpointRec {
 	cp := &checkpointRec{
 		seq:      fs.seq,
-		blockSeg: make(map[blockID]int32, fs.blockSeg.Len()),
+		blockSeg: make(map[blockID]int32, fs.blocks.live),
 		files:    make(map[uint64]int64, len(fs.files)),
 		segLive:  append([]int32(nil), fs.segLive...),
 		free:     append([]int32(nil), fs.free...),
 	}
-	fs.blockSeg.Each(func(id blockID, seg int32) { cp.blockSeg[id] = seg })
+	fs.blocks.each(func(id blockID, seg int32) { cp.blockSeg[id] = seg })
 	for k, f := range fs.files {
 		cp.files[k] = f.extent
 	}
@@ -99,7 +99,7 @@ func (fs *FS) Checkpoint(now int64) {
 	// A checkpoint region write: metadata snapshot, sized roughly by the
 	// live-block pointer count (8 bytes a pointer, one 4 KB block
 	// minimum).
-	size := int64(fs.blockSeg.Len())*8 + int64(len(fs.segLive))*4
+	size := int64(fs.blocks.live)*8 + int64(len(fs.segLive))*4
 	if size < fs.cfg.BlockSize {
 		size = fs.cfg.BlockSize
 	}
@@ -143,7 +143,7 @@ func (fs *FS) SimulateCrashAndRecover(now int64) (*FS, RecoveryReport, error) {
 // crash) or from a reopened durable image (a real one).
 func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointRec) (*FS, RecoveryReport, error) {
 	report := RecoveryReport{
-		LostDirtyBlocks:         fs.dirty.Len(),
+		LostDirtyBlocks:         fs.blocks.dirty,
 		RecoveredBufferedBlocks: len(buffered),
 	}
 
@@ -172,7 +172,7 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 		fromSeq = cp.seq
 		report.CheckpointSeq = cp.seq
 		for id, seg := range cp.blockSeg {
-			rec.blockSeg.Put(id, seg)
+			rec.blocks.place(id, seg)
 		}
 		for k, v := range cp.files {
 			rec.files[k] = &fileState{extent: v}
@@ -214,13 +214,9 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 	sort.Slice(replay, func(i, j int) bool { return replay[i].seq < replay[j].seq })
 	for _, ev := range replay {
 		if ev.isDel {
-			// The dirty and buffered tables are empty until step 3.
+			// No block is dirty or buffered until step 3.
 			if f := rec.files[ev.del]; f != nil {
-				rec.fileIndexes(ev.del, f.extent, func(idx int64) {
-					if seg, ok := rec.blockSeg.Del(blockID{File: ev.del, Index: idx}); ok {
-						rec.segLive[seg]--
-					}
-				})
+				rec.blocks.dropFile(ev.del, f.extent, rec.unlive)
 				delete(rec.files, ev.del)
 			}
 			continue
@@ -228,11 +224,9 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 		rec.disk.Read(fs.cfg.SegmentSize)
 		report.SegmentsReplayed++
 		for _, id := range ev.blocks {
-			p, had := rec.blockSeg.Ref(id)
-			if had {
-				rec.segLive[*p]--
+			if old, had := rec.blocks.place(id, ev.seg); had {
+				rec.segLive[old]--
 			}
-			*p = ev.seg
 			rec.segLive[ev.seg]++
 			rec.extend(id)
 		}
@@ -241,7 +235,7 @@ func (fs *FS) recoverWith(now int64, buffered []blockID, checkpoint *checkpointR
 	// Rebuild the free list from what remains unreferenced.
 	rec.free = rec.free[:0]
 	used := make(map[int32]bool)
-	rec.blockSeg.Each(func(_ blockID, seg int32) { used[seg] = true })
+	rec.blocks.each(func(_ blockID, seg int32) { used[seg] = true })
 	for i := fs.cfg.DiskSegments - 1; i >= 0; i-- {
 		if !used[int32(i)] {
 			rec.free = append(rec.free, int32(i))
@@ -278,8 +272,8 @@ func (fs *FS) CheckConsistent() error { return fs.checkConsistent() }
 // stable=true with at = -1 (the buffer keeps no ages: its contents are
 // already permanent). The crash harness uses it to apply the loss model.
 func (fs *FS) ForEachPending(fn func(file uint64, index int64, at int64, stable bool)) {
-	dirty := make([]ageEntry, 0, fs.dirty.Len())
-	fs.dirty.Each(func(id blockID, d dirtyBlock) { dirty = append(dirty, ageEntry{at: d.at, id: id}) })
+	dirty := make([]ageEntry, 0, fs.blocks.dirty)
+	fs.blocks.eachDirty(func(id blockID, at int64) { dirty = append(dirty, ageEntry{at: at, id: id}) })
 	slices.SortFunc(dirty, func(a, b ageEntry) int { return blockmap.Compare(a.id, b.id) })
 	for _, e := range dirty {
 		fn(e.id.File, e.id.Index, e.at, false)
@@ -307,15 +301,18 @@ func (fs *FS) DurableFingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	ids := make([]blockID, 0, fs.blockSeg.Len())
-	fs.blockSeg.Each(func(id blockID, _ int32) { ids = append(ids, id) })
-	sortBlockIDs(ids)
-	for _, id := range ids {
-		seg, _ := fs.blockSeg.Get(id)
+	type placed struct {
+		id  blockID
+		seg int32
+	}
+	all := make([]placed, 0, fs.blocks.live)
+	fs.blocks.each(func(id blockID, seg int32) { all = append(all, placed{id, seg}) })
+	slices.SortFunc(all, func(a, b placed) int { return blockmap.Compare(a.id, b.id) })
+	for _, p := range all {
 		mix(1)
-		mix(id.File)
-		mix(uint64(id.Index))
-		mix(uint64(seg))
+		mix(p.id.File)
+		mix(uint64(p.id.Index))
+		mix(uint64(p.seg))
 	}
 	for _, id := range fs.bufferedIDs() {
 		mix(2)
@@ -330,7 +327,9 @@ func (fs *FS) DurableFingerprint() uint64 {
 func (fs *FS) checkConsistent() error {
 	counts := make([]int32, len(fs.segLive))
 	beyond := int32(-1)
-	fs.blockSeg.Each(func(_ blockID, seg int32) {
+	live := 0
+	fs.blocks.each(func(_ blockID, seg int32) {
+		live++
 		if int(seg) >= len(counts) {
 			beyond = seg
 			return
@@ -339,6 +338,9 @@ func (fs *FS) checkConsistent() error {
 	})
 	if beyond >= 0 {
 		return fmt.Errorf("block mapped to segment %d beyond disk", beyond)
+	}
+	if live != fs.blocks.live {
+		return fmt.Errorf("live block count %d, recounted %d", fs.blocks.live, live)
 	}
 	for seg, want := range counts {
 		if fs.segLive[seg] != want {

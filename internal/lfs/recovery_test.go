@@ -15,11 +15,11 @@ import (
 // was never written to the log.)
 func stateEqual(t *testing.T, want, got *FS) {
 	t.Helper()
-	if want.blockSeg.Len() != got.blockSeg.Len() {
-		t.Fatalf("block maps differ: %d vs %d entries", want.blockSeg.Len(), got.blockSeg.Len())
+	if want.LiveBlocks() != got.LiveBlocks() {
+		t.Fatalf("block maps differ: %d vs %d entries", want.LiveBlocks(), got.LiveBlocks())
 	}
-	want.blockSeg.Each(func(id blockID, seg int32) {
-		if g, _ := got.blockSeg.Get(id); g != seg {
+	want.blocks.each(func(id blockID, seg int32) {
+		if g, _ := got.blocks.seg(id); g != seg {
 			t.Fatalf("block %v: segment %d vs %d", id, seg, g)
 		}
 	})
@@ -28,7 +28,7 @@ func stateEqual(t *testing.T, want, got *FS) {
 			t.Fatalf("file %d extent does not cover %s block %d", id.File, what, id.Index)
 		}
 	}
-	got.blockSeg.Each(func(id blockID, _ int32) { covers(id, "durable") })
+	got.blocks.each(func(id blockID, _ int32) { covers(id, "durable") })
 	want.buffered.Each(func(id blockID, _ struct{}) { covers(id, "buffered") })
 	if err := got.checkConsistent(); err != nil {
 		t.Fatal(err)

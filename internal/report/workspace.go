@@ -130,7 +130,8 @@ type Workspace struct {
 
 	eng *engine.Engine
 
-	ops      engine.Memo[int, tracePasses]
+	ops      engine.Memo[int, *prep.Recording]
+	mids     engine.Memo[int, int64]
 	analyses engine.Memo[int, *lifetime.Analysis]
 	scheds   engine.Memo[int, *lifetime.Schedule]
 
@@ -138,14 +139,6 @@ type Workspace struct {
 	// shared by Figures 3-6 and the bus study.
 	cellsMu sync.Mutex
 	cells   map[cellKey]cache.Traffic
-}
-
-// tracePasses is the first-pass product for one trace: the recorded
-// canonical ops (which carry their statistics) and the midpoint-op time
-// the degraded study anchors its outage windows on.
-type tracePasses struct {
-	rec     *prep.Recording
-	midTime int64
 }
 
 // NewWorkspace returns a workspace at the given scale, running its
@@ -178,11 +171,11 @@ func (ws *Workspace) Engine() *engine.Engine { return ws.eng }
 // always runs to completion so its cached result stays valid for other
 // callers).
 func (ws *Workspace) OpsSourceContext(ctx context.Context, tr int) (prep.Source, error) {
-	p, err := ws.passes(ctx, tr)
+	rec, err := ws.recording(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
-	return p.rec.Ops()
+	return rec.Ops()
 }
 
 // traceReplay hands out fresh cursors over one workspace trace.
@@ -200,55 +193,60 @@ func (r traceReplay) Ops() (prep.Source, error) {
 // stream; the crash harness's multi-pass LFS oracle consumes it.
 func (ws *Workspace) Replayable(tr int) prep.Replayable { return traceReplay{ws: ws, tr: tr} }
 
-func (ws *Workspace) passes(ctx context.Context, tr int) (tracePasses, error) {
+// recording returns the trace's recorded canonical ops (which carry their
+// statistics), generating and canonicalizing the trace on first use; every
+// later pass replays the recording.
+func (ws *Workspace) recording(ctx context.Context, tr int) (*prep.Recording, error) {
 	if err := ctx.Err(); err != nil {
-		return tracePasses{}, err
+		return nil, err
 	}
-	return ws.ops.Do(tr, func() (tracePasses, error) {
-		// One generation pass canonicalizes and records the ops; every
-		// later pass replays the recording.
+	return ws.ops.Do(tr, func() (*prep.Recording, error) {
 		rec, err := prep.Record(workload.NewCursor(workload.StandardProfile(tr, ws.Scale)), prep.Options{Trusted: true})
 		if err != nil {
-			return tracePasses{}, fmt.Errorf("report: generating trace %d: %w", tr, err)
+			return nil, fmt.Errorf("report: generating trace %d: %w", tr, err)
 		}
-		p := tracePasses{rec: rec}
-		// A partial replay finds the midpoint op's time (op index Ops/2):
-		// the total count isn't known until the recording ends.
-		if n := rec.Stats().Ops; n > 0 {
-			src, err := rec.Ops()
-			if err != nil {
-				return tracePasses{}, err
-			}
-			for i := int64(0); i <= n/2; i++ {
-				op, ok, err := src.Next()
-				if err != nil || !ok {
-					return tracePasses{}, fmt.Errorf("report: trace %d midpoint replay failed at op %d: %w", tr, i, err)
-				}
-				p.midTime = op.Time
-			}
-		}
-		return p, nil
+		return rec, nil
 	})
 }
 
 // TraceStatsContext returns the canonical-op statistics for a trace.
 func (ws *Workspace) TraceStatsContext(ctx context.Context, tr int) (prep.Stats, error) {
-	p, err := ws.passes(ctx, tr)
+	rec, err := ws.recording(ctx, tr)
 	if err != nil {
 		return prep.Stats{}, err
 	}
-	return p.rec.Stats(), nil
+	return rec.Stats(), nil
 }
 
 // MidTimeContext returns the time of the trace's midpoint operation (op
 // index Ops/2, zero for an empty trace): the degraded study anchors its
 // outage windows there so they always land in active workload.
 func (ws *Workspace) MidTimeContext(ctx context.Context, tr int) (int64, error) {
-	p, err := ws.passes(ctx, tr)
+	rec, err := ws.recording(ctx, tr)
 	if err != nil {
 		return 0, err
 	}
-	return p.midTime, nil
+	return ws.mids.Do(tr, func() (int64, error) {
+		// A partial replay finds the midpoint op's time: the total count
+		// isn't known until the recording ends.
+		n := rec.Stats().Ops
+		if n == 0 {
+			return 0, nil
+		}
+		src, err := rec.Ops()
+		if err != nil {
+			return 0, err
+		}
+		var mid int64
+		for i := int64(0); i <= n/2; i++ {
+			op, ok, err := src.Next()
+			if err != nil || !ok {
+				return 0, fmt.Errorf("report: trace %d midpoint replay failed at op %d: %w", tr, i, err)
+			}
+			mid = op.Time
+		}
+		return mid, nil
+	})
 }
 
 // AnalysisContext returns the infinite-cache lifetime analysis for a
@@ -261,15 +259,15 @@ func (ws *Workspace) AnalysisContext(ctx context.Context, tr int) (*lifetime.Ana
 		// Deliberately not the caller's ctx: a build that has started runs
 		// to completion so a bystander's cancellation can never be cached
 		// as this trace's permanent result.
-		p, err := ws.passes(context.Background(), tr)
+		rec, err := ws.recording(context.Background(), tr)
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.rec.Ops()
+		src, err := rec.Ops()
 		if err != nil {
 			return nil, err
 		}
-		a, err := lifetime.AnalyzeWith(src, lifetime.Options{FilesHint: p.rec.Stats().Files})
+		a, err := lifetime.AnalyzeWith(src, lifetime.Options{FilesHint: rec.Stats().Files})
 		if err != nil {
 			return nil, fmt.Errorf("report: analyzing trace %d: %w", tr, err)
 		}
@@ -284,11 +282,11 @@ func (ws *Workspace) ScheduleContext(ctx context.Context, tr int) (*lifetime.Sch
 		return nil, err
 	}
 	return ws.scheds.Do(tr, func() (*lifetime.Schedule, error) {
-		p, err := ws.passes(context.Background(), tr)
+		rec, err := ws.recording(context.Background(), tr)
 		if err != nil {
 			return nil, err
 		}
-		src, err := p.rec.Ops()
+		src, err := rec.Ops()
 		if err != nil {
 			return nil, err
 		}
