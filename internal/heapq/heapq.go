@@ -1,7 +1,7 @@
 // Package heapq is the binary min-heap behind the simulators' priority
 // queues: the client cache's block cleaner and the server cache's 30-second
-// write-back, the LFS age flush, the omniscient policy's furthest-next-modify
-// victim, and the workload generator's actor schedule.
+// write-back, the omniscient policy's furthest-next-modify victim, and the
+// workload generator's actor schedule.
 //
 // Heap runs container/heap's algorithm step for step: the same sift loops,
 // the same comparisons in the same order, the same swaps. Elements with

@@ -12,7 +12,7 @@ const (
 	plainMix = iota
 	// sameInstant sometimes writes pending blocks of a file, deletes the
 	// file and rewrites the same blocks at one instant, then fills a
-	// segment at that instant too: the age heap holds two entries with
+	// segment at that instant too: the age queue holds two entries with
 	// equal (time, block) when the drain runs.
 	sameInstant
 	// backdated issues five fsyncs 1-5 ms after a write, as serverload's

@@ -34,7 +34,6 @@ import (
 
 	"nvramfs/internal/blockmap"
 	"nvramfs/internal/disk"
-	"nvramfs/internal/heapq"
 	"nvramfs/internal/nvram"
 )
 
@@ -258,10 +257,10 @@ type FS struct {
 
 	// Every block's segment and dirty state (dirty blocks are unfsynced,
 	// in the volatile server cache), with first-dirty times; plus an age
-	// heap for the delayed write-back. Every dirty block has a live entry
-	// in the heap.
-	blocks  runTable
-	ageHeap heapq.Heap[ageEntry, ageOrder]
+	// queue for the delayed write-back. Every dirty block has a live entry
+	// in the queue.
+	blocks runTable
+	ages   ageQueue
 
 	// Blocks parked in the NVRAM buffer by fsync (permanent, so exempt
 	// from the age flush). Empty when no buffer is configured.
@@ -287,6 +286,20 @@ type FS struct {
 	// segWritten is each segment's last write time, for the cost-benefit
 	// cleaner's age term.
 	segWritten []int64
+
+	// Scratch reused across drains and cleaner runs. drain is the batch
+	// that Advance, takePending and takeDirty return; it is valid until
+	// the next of those calls. writeSegments only reads it, and
+	// emitSegment copies each segment's blocks into segLog, so the batch
+	// may be passed to writeSegments: nothing reached from there (the
+	// cleaner included) takes from the age queue or the buffer. segMark
+	// is false for every segment between cleaner runs; hist and the two
+	// victim lists are the cleaner's.
+	drain    []blockID
+	segMark  []bool
+	hist     []int32
+	victims  []int32
+	cbVictim []cbCand
 
 	stats Stats
 }
@@ -340,7 +353,7 @@ func (fs *FS) Stats() *Stats { return &fs.stats }
 // Disk returns the underlying disk.
 func (fs *FS) Disk() *disk.Disk { return fs.disk }
 
-// ageEntry is a dirty block on the age heap, which orders them by
+// ageEntry is a dirty block on the age queue, which orders them by
 // (first-dirty time, file, index). Entries are lazily invalidated: one is
 // stale once its block is no longer dirty since its time.
 type ageEntry struct {
@@ -348,7 +361,7 @@ type ageEntry struct {
 	id blockID
 }
 
-// compareAgeEntries is the heap's order; the drain sorts by it too.
+// compareAgeEntries is the age queue's order.
 func compareAgeEntries(a, b ageEntry) int {
 	if c := cmp.Compare(a.at, b.at); c != 0 {
 		return c
@@ -356,19 +369,64 @@ func compareAgeEntries(a, b ageEntry) int {
 	return blockmap.Compare(a.id, b.id)
 }
 
-type ageOrder struct{}
+// ageQueue holds the age entries from head on, sorted by
+// compareAgeEntries unless unsorted is set. Writes arrive in time order
+// and a write's blocks in index order, so an append almost always sorts
+// at or after the last entry and the queue stays sorted for free; only a
+// backdated write, or a same-instant write to a lower file, marks it
+// unsorted, and the next read sorts it once. Taking entries from the
+// front of the sorted queue therefore yields exactly a min-heap's pop
+// sequence under the same total order (equal entries are identical
+// values, so their order cannot show).
+type ageQueue struct {
+	q        []ageEntry
+	head     int
+	unsorted bool
+}
 
-func (ageOrder) Less(a, b ageEntry) bool { return compareAgeEntries(a, b) < 0 }
-func (ageOrder) Moved(ageEntry, int)     {}
+// push appends e.
+func (a *ageQueue) push(e ageEntry) {
+	if !a.unsorted && len(a.q) > a.head && compareAgeEntries(e, a.q[len(a.q)-1]) < 0 {
+		a.unsorted = true
+	}
+	a.q = append(a.q, e)
+}
+
+// sorted returns the queued entries in order, sorting them first if a
+// push left them unsorted. The slice is valid until the next push or drop.
+func (a *ageQueue) sorted() []ageEntry {
+	live := a.q[a.head:]
+	if a.unsorted {
+		slices.SortFunc(live, compareAgeEntries)
+		a.unsorted = false
+	}
+	return live
+}
+
+// drop removes the first n entries of sorted(). The array is compacted
+// once the head passes half of it, so each entry is moved at most once
+// per time it is queued, amortized.
+func (a *ageQueue) drop(n int) {
+	a.head += n
+	switch {
+	case a.head == len(a.q):
+		a.q, a.head = a.q[:0], 0
+	case a.head > len(a.q)/2:
+		a.q, a.head = a.q[:copy(a.q, a.q[a.head:])], 0
+	}
+}
 
 // Advance moves simulated time forward, running the 5-second flusher.
 func (fs *FS) Advance(now int64) {
 	if now < fs.now {
 		return
 	}
-	for len(fs.ageHeap) > 0 {
-		top := fs.ageHeap[0]
-		due := top.at + fs.cfg.AgeFlush
+	for {
+		q := fs.ages.sorted()
+		if len(q) == 0 {
+			break
+		}
+		due := q[0].at + fs.cfg.AgeFlush
 		// Round up to the next flusher tick.
 		if rem := due % fs.cfg.CheckInterval; rem != 0 {
 			due += fs.cfg.CheckInterval - rem
@@ -379,15 +437,15 @@ func (fs *FS) Advance(now int64) {
 		fs.now = due
 		// Flush every block old enough at this tick.
 		cutoff := due - fs.cfg.AgeFlush
-		var batch []blockID
-		for len(fs.ageHeap) > 0 {
-			if fs.ageHeap[0].at > cutoff {
-				break
-			}
-			if e := fs.ageHeap.Pop(); fs.takeLive(e) {
-				batch = append(batch, e.id)
+		batch := fs.drain[:0]
+		i := 0
+		for ; i < len(q) && q[i].at <= cutoff; i++ {
+			if fs.takeLive(q[i]) {
+				batch = append(batch, q[i].id)
 			}
 		}
+		fs.ages.drop(i)
+		fs.drain = batch
 		if len(batch) > 0 {
 			fs.writeSegments(batch, SegAge)
 		}
@@ -418,7 +476,7 @@ func (fs *FS) Write(now int64, file uint64, off, n int64) {
 			fs.stats.BlocksAbsorbed++
 			fs.bufferRemove(id)
 		}
-		fs.ageHeap.Push(ageEntry{at: now, id: id})
+		fs.ages.push(ageEntry{at: now, id: id})
 	}
 	f.extent = max(f.extent, idx)
 	fs.drainFullSegments()
@@ -440,17 +498,24 @@ func (fs *FS) takeLive(e ageEntry) bool {
 func (fs *FS) pendingBlocks() int { return fs.blocks.dirty + fs.buffered.Len() }
 
 // drainFullSegments writes full segments while enough data is pending.
+// A drain that takes nothing while the counts say a segment is pending
+// would spin forever, so it panics instead.
 func (fs *FS) drainFullSegments() {
 	per := fs.cfg.BlocksPerSegment()
 	for fs.pendingBlocks() >= per {
 		batch := fs.takePending(per)
+		if len(batch) == 0 {
+			panic(fmt.Sprintf("lfs %s: drain took no block with %d dirty and %d buffered pending (%d age entries queued)",
+				fs.cfg.Name, fs.blocks.dirty, fs.buffered.Len(), len(fs.ages.q)-fs.ages.head))
+		}
 		fs.writeSegments(batch, SegFull)
 	}
 }
 
 // takePending removes up to n pending blocks, oldest buffered data first.
+// The batch is fs.drain.
 func (fs *FS) takePending(n int) []blockID {
-	batch := make([]blockID, 0, n)
+	batch := fs.drain[:0]
 	if fs.buffered.Len() > 0 {
 		// Sorted, not slot order: segment membership decides what the
 		// cleaner later copies, so replays must be deterministic. The
@@ -465,34 +530,36 @@ func (fs *FS) takePending(n int) []blockID {
 	}
 	if len(batch) < n && fs.blocks.dirty > 0 {
 		// Then the oldest dirty blocks, for age fairness. Every dirty block
-		// has a live age-heap entry, so the entries sorted in (first-dirty
-		// time, file, index) order, less the stale ones, are the pop order.
-		// The rest stay sorted, which is a valid min-heap, and the next
-		// drain re-sorts them cheaply.
-		h := fs.ageHeap
-		slices.SortFunc(h, compareAgeEntries)
+		// has a live entry in the queue, so its live entries from the
+		// front are the oldest dirty blocks in (first-dirty time, file,
+		// index) order.
+		q := fs.ages.sorted()
 		i := 0
-		for ; i < len(h) && len(batch) < n; i++ {
-			if fs.takeLive(h[i]) {
-				batch = append(batch, h[i].id)
+		for ; i < len(q) && len(batch) < n; i++ {
+			if fs.takeLive(q[i]) {
+				batch = append(batch, q[i].id)
 			}
 		}
-		fs.ageHeap = h[:copy(h, h[i:])]
+		fs.ages.drop(i)
 	}
+	fs.drain = batch
 	return batch
 }
 
-// takeDirty removes every dirty block and empties the age heap. Every
-// dirty block has a live entry there, so the heap enumerates them without
-// a walk over the table's slots.
+// takeDirty removes every dirty block, oldest first, and empties the age
+// queue. Every dirty block has a live entry there, so the queue
+// enumerates them without a walk over the table's slots. The batch is
+// fs.drain.
 func (fs *FS) takeDirty() []blockID {
-	batch := make([]blockID, 0, fs.blocks.dirty)
-	for _, e := range fs.ageHeap {
+	batch := fs.drain[:0]
+	q := fs.ages.sorted()
+	for _, e := range q {
 		if fs.blocks.undirty(e.id) {
 			batch = append(batch, e.id)
 		}
 	}
-	fs.ageHeap = fs.ageHeap[:0]
+	fs.ages.drop(len(q))
+	fs.drain = batch
 	return batch
 }
 
@@ -671,56 +738,16 @@ func (fs *FS) clean() {
 	// alone; only then are their blocks collected. Membership is found per
 	// run rather than kept per segment: retained per-segment lists cost
 	// every volume heap for the life of the file system (see Checkpoint).
-	type cand struct {
-		seg   int32
-		live  int32
-		score float64 // cost-benefit score (higher = clean first)
-	}
-	order := func(a, b cand) int {
-		if fs.cfg.Cleaner == CleanCostBenefit {
-			if c := cmp.Compare(b.score, a.score); c != 0 {
-				return c
-			}
-		} else if c := cmp.Compare(a.live, b.live); c != 0 {
-			// Greedy policy: clean the emptiest segments first.
-			return c
-		}
-		return cmp.Compare(a.seg, b.seg)
-	}
-	inFree := make([]bool, len(fs.segLive))
-	for _, s := range fs.free {
-		inFree[s] = true
-	}
-	// Keep the best k candidates in order. Both orders are total (seg
-	// breaks every tie), so these are exactly the first k of a full sort.
-	k := fs.cfg.CleanHighWater - len(fs.free)
-	victims := make([]cand, 0, k+1)
-	perSeg := float64(fs.cfg.BlocksPerSegment())
-	for seg, live := range fs.segLive {
-		if inFree[seg] {
-			continue
-		}
-		c := cand{seg: int32(seg), live: live}
-		if fs.cfg.Cleaner == CleanCostBenefit {
-			// benefit/cost = (1-u)*age / (1+u): free space gained times
-			// data stability, over the cost of reading and rewriting.
-			u := float64(c.live) / perSeg
-			age := float64(fs.now - fs.segWritten[seg])
-			c.score = (1 - u) * age / (1 + u)
-		}
-		if len(victims) == k && order(c, victims[k-1]) >= 0 {
-			continue
-		}
-		i, _ := slices.BinarySearchFunc(victims, c, order)
-		victims = slices.Insert(victims, i, c)[:min(len(victims)+1, k)]
-	}
-	victim := make([]bool, len(fs.segLive))
-	for _, c := range victims {
+	victims := fs.pickVictims(fs.cfg.CleanHighWater - len(fs.free))
+	mark := fs.segMark
+	summaries := true
+	for _, seg := range victims {
 		fs.disk.Read(fs.cfg.SegmentSize)
 		fs.stats.SegmentsCleaned++
-		victim[c.seg] = true
-		fs.segLive[c.seg] = 0
-		fs.free = append(fs.free, c.seg)
+		mark[seg] = true
+		fs.segLive[seg] = 0
+		fs.free = append(fs.free, seg)
+		summaries = summaries && fs.segLog[seg] != nil
 	}
 	// Like Sprite's cleaner, read each victim's summary and keep the
 	// blocks that still map to a victim. Checkpoint drops the summaries it
@@ -728,10 +755,10 @@ func (fs *FS) clean() {
 	// them. Each copied block is unplaced here and re-placed by the
 	// copy-out.
 	var copied []blockID
-	if !slices.ContainsFunc(victims, func(c cand) bool { return fs.segLog[c.seg] == nil }) {
-		for _, c := range victims {
-			for _, id := range fs.segLog[c.seg].blocks {
-				if seg, ok := fs.blocks.seg(id); ok && victim[seg] {
+	if summaries {
+		for _, victim := range victims {
+			for _, id := range fs.segLog[victim].blocks {
+				if seg, ok := fs.blocks.seg(id); ok && mark[seg] {
 					copied = append(copied, id)
 					fs.blocks.unplace(id)
 				}
@@ -739,7 +766,7 @@ func (fs *FS) clean() {
 		}
 	} else {
 		fs.blocks.each(func(id blockID, seg int32) {
-			if victim[seg] {
+			if mark[seg] {
 				copied = append(copied, id)
 			}
 		})
@@ -747,10 +774,125 @@ func (fs *FS) clean() {
 			fs.blocks.unplace(id)
 		}
 	}
+	for _, seg := range victims {
+		mark[seg] = false
+	}
 	sortBlockIDs(copied)
 	if len(copied) > 0 {
 		fs.writeSegments(copied, SegCleaner)
 	}
+}
+
+// cbCand is a cost-benefit cleaner candidate.
+type cbCand struct {
+	seg   int32
+	score float64 // higher = clean first
+}
+
+// pickVictims returns the first k segments that are not free in the
+// cleaner policy's order: greedy by (live, seg), cost-benefit by
+// (score descending, seg). Both orders are total, so the victims are
+// exactly the first k of a full sort. The slice is fs.victims, valid
+// until the next call.
+func (fs *FS) pickVictims(k int) []int32 {
+	if len(fs.segMark) != len(fs.segLive) {
+		fs.segMark = make([]bool, len(fs.segLive))
+	}
+	if k <= 0 {
+		return fs.victims[:0]
+	}
+	mark := fs.segMark
+	for _, seg := range fs.free {
+		mark[seg] = true
+	}
+	var victims []int32
+	if fs.cfg.Cleaner == CleanCostBenefit {
+		victims = fs.costBenefitVictims(k, mark)
+	} else {
+		victims = fs.greedyVictims(k, mark)
+	}
+	for _, seg := range fs.free {
+		mark[seg] = false
+	}
+	fs.victims = victims
+	return victims
+}
+
+// greedyVictims picks the k emptiest unmarked segments without comparing
+// segments: a histogram of live counts gives the count L at which the
+// k-th victim sits, a pass in segment order takes every segment below L
+// and the first ones at L, and a stable sort by live count of those few
+// puts them in (live, seg) order.
+func (fs *FS) greedyVictims(k int, free []bool) []int32 {
+	victims := fs.victims[:0]
+	hist := fs.hist
+	if n := fs.cfg.BlocksPerSegment() + 1; len(hist) != n {
+		hist = make([]int32, n)
+		fs.hist = hist
+	}
+	clear(hist)
+	for seg, live := range fs.segLive {
+		if !free[seg] {
+			hist[live]++
+		}
+	}
+	// threshold is L; below counts the candidates with fewer live blocks,
+	// and atL is how many with exactly L the victims take. Past the last
+	// count, atL exceeds the candidates left and every one is taken.
+	threshold, below := 0, 0
+	for ; threshold < len(hist)-1 && below+int(hist[threshold]) < k; threshold++ {
+		below += int(hist[threshold])
+	}
+	atL := k - below
+	for seg, live := range fs.segLive {
+		switch {
+		case free[seg] || int(live) > threshold:
+		case int(live) < threshold:
+			victims = append(victims, int32(seg))
+		case atL > 0:
+			victims = append(victims, int32(seg))
+			atL--
+		}
+	}
+	slices.SortStableFunc(victims, func(a, b int32) int { return cmp.Compare(fs.segLive[a], fs.segLive[b]) })
+	return victims
+}
+
+// costBenefitVictims keeps the k best-scoring unmarked segments in order
+// by bounded insertion. Segments arrive in increasing order, so a new
+// candidate sorts before a kept one exactly when it scores higher.
+func (fs *FS) costBenefitVictims(k int, free []bool) []int32 {
+	best := fs.cbVictim[:0]
+	perSeg := float64(fs.cfg.BlocksPerSegment())
+	for seg, live := range fs.segLive {
+		if free[seg] {
+			continue
+		}
+		// benefit/cost = (1-u)*age / (1+u): free space gained times data
+		// stability, over the cost of reading and rewriting.
+		u := float64(live) / perSeg
+		age := float64(fs.now - fs.segWritten[seg])
+		c := cbCand{seg: int32(seg), score: (1 - u) * age / (1 + u)}
+		if len(best) == k && !(c.score > best[k-1].score) {
+			continue
+		}
+		// The first kept candidate scoring below c.
+		lo, hi := 0, len(best)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); best[mid].score >= c.score {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		best = slices.Insert(best, lo, c)[:min(len(best)+1, k)]
+	}
+	fs.cbVictim = best
+	victims := fs.victims[:0]
+	for _, c := range best {
+		victims = append(victims, c.seg)
+	}
+	return victims
 }
 
 // FreeSegments returns the current free-segment count.

@@ -99,7 +99,7 @@ func TestOverwriteAbsorbedBeforeDisk(t *testing.T) {
 }
 
 // TestAgeFlushWritesRedirtiedBlockOnce re-dirties a block at the same
-// instant it was written out, which leaves two age-heap entries with the
+// instant it was written out, which leaves two age-queue entries with the
 // same (time, block). The age flush must write the block once.
 func TestAgeFlushWritesRedirtiedBlockOnce(t *testing.T) {
 	for _, tc := range []struct {
@@ -124,7 +124,7 @@ func TestAgeFlushWritesRedirtiedBlockOnce(t *testing.T) {
 }
 
 // TestDrainWritesEachBlockOnce deletes and rewrites pending blocks at one
-// instant, which leaves two age-heap entries with equal (time, block) that
+// instant, which leaves two age-queue entries with equal (time, block) that
 // both read as live, and then fills a segment at that instant. The drain
 // must take each block once: with a duplicate in the segment, blocks of the
 // filler would be left over for the shutdown flush.

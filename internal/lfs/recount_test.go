@@ -14,8 +14,8 @@ import (
 //     table (checkConsistent);
 //   - the run table's shape and each file's dirty count (checkRuns), and
 //     no block both dirty and buffered;
-//   - a live age-heap entry holding every dirty block's (time, block), and
-//     the heap property;
+//   - a queued age entry holding every dirty block's (time, block), and
+//     the queue sorted from its head unless a push marked it unsorted;
 //   - the free list and the used segments partitioning the disk: free
 //     segments are distinct, on the disk, and hold no live block;
 //   - every segment logged after log position since listing each block
@@ -28,17 +28,20 @@ func checkRecount(fs *FS, since int64) error {
 		return err
 	}
 	var bad error
-	h := fs.ageHeap
-	inHeap := make(map[ageEntry]bool, len(h))
-	for i, e := range h {
-		if i > 0 && (ageOrder{}).Less(e, h[(i-1)/2]) {
-			return fmt.Errorf("age heap entry %d %+v sorts before its parent %+v", i, e, h[(i-1)/2])
+	a := &fs.ages
+	if a.head < 0 || a.head > len(a.q) || (a.head > 0 && a.head == len(a.q)) {
+		return fmt.Errorf("age queue head %d of %d entries", a.head, len(a.q))
+	}
+	queued := make(map[ageEntry]bool, len(a.q)-a.head)
+	for i := a.head; i < len(a.q); i++ {
+		if i > a.head && !a.unsorted && compareAgeEntries(a.q[i], a.q[i-1]) < 0 {
+			return fmt.Errorf("age queue entry %d %+v sorts before its predecessor %+v", i, a.q[i], a.q[i-1])
 		}
-		inHeap[e] = true
+		queued[a.q[i]] = true
 	}
 	fs.blocks.eachDirty(func(id blockID, at int64) {
-		if bad == nil && !inHeap[ageEntry{at: at, id: id}] {
-			bad = fmt.Errorf("dirty block %v (first dirty at %d) has no age-heap entry", id, at)
+		if bad == nil && !queued[ageEntry{at: at, id: id}] {
+			bad = fmt.Errorf("dirty block %v (first dirty at %d) has no queued age entry", id, at)
 		}
 		if bad == nil && fs.buffered.Has(id) {
 			bad = fmt.Errorf("block %v is both dirty and buffered", id)
