@@ -55,7 +55,7 @@ func FuzzAgeQueueMatchesHeap(f *testing.F) {
 				heap.Push(&ref, e)
 			case 1: // take up to a cutoff time
 				cutoff := clock - int64(a%8)
-				s := q.sorted()
+				s := q.entries()
 				i := 0
 				for i < len(s) && s[i].at <= cutoff {
 					i++
@@ -66,7 +66,7 @@ func FuzzAgeQueueMatchesHeap(f *testing.F) {
 					want = append(want, heap.Pop(&ref).(ageEntry))
 				}
 			case 2: // take the first n
-				s := q.sorted()
+				s := q.entries()
 				n := min(int(a%8), len(s))
 				got = slices.Clone(s[:n])
 				q.drop(n)
@@ -74,7 +74,7 @@ func FuzzAgeQueueMatchesHeap(f *testing.F) {
 					want = append(want, heap.Pop(&ref).(ageEntry))
 				}
 			case 3: // take all
-				s := q.sorted()
+				s := q.entries()
 				got = slices.Clone(s)
 				q.drop(len(s))
 				for ref.Len() > 0 {

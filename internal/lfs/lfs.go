@@ -370,40 +370,36 @@ func compareAgeEntries(a, b ageEntry) int {
 }
 
 // ageQueue holds the age entries from head on, sorted by
-// compareAgeEntries unless unsorted is set. Writes arrive in time order
-// and a write's blocks in index order, so an append almost always sorts
-// at or after the last entry and the queue stays sorted for free; only a
-// backdated write, or a same-instant write to a lower file, marks it
-// unsorted, and the next read sorts it once. Taking entries from the
-// front of the sorted queue therefore yields exactly a min-heap's pop
-// sequence under the same total order (equal entries are identical
-// values, so their order cannot show).
+// compareAgeEntries. Writes arrive in time order and a write's blocks in
+// index order, so a push nearly always sorts at or after the last entry
+// and is an append. Only a backdated write, or a same-instant write to a
+// lower file (the server cache's write-back flushes files at one instant
+// in its own order), sorts earlier; it is inserted at its place, which
+// moves only the entries after it, those of the same instant for a
+// same-instant write. Taking entries from the front therefore yields
+// exactly a min-heap's pop sequence under the same total order (equal
+// entries are identical values, so their order cannot show).
 type ageQueue struct {
-	q        []ageEntry
-	head     int
-	unsorted bool
+	q    []ageEntry
+	head int
 }
 
-// push appends e.
+// push adds e in order.
 func (a *ageQueue) push(e ageEntry) {
-	if !a.unsorted && len(a.q) > a.head && compareAgeEntries(e, a.q[len(a.q)-1]) < 0 {
-		a.unsorted = true
+	n := len(a.q)
+	if n == a.head || compareAgeEntries(e, a.q[n-1]) >= 0 {
+		a.q = append(a.q, e)
+		return
 	}
-	a.q = append(a.q, e)
+	i, _ := slices.BinarySearchFunc(a.q[a.head:], e, compareAgeEntries)
+	a.q = slices.Insert(a.q, a.head+i, e)
 }
 
-// sorted returns the queued entries in order, sorting them first if a
-// push left them unsorted. The slice is valid until the next push or drop.
-func (a *ageQueue) sorted() []ageEntry {
-	live := a.q[a.head:]
-	if a.unsorted {
-		slices.SortFunc(live, compareAgeEntries)
-		a.unsorted = false
-	}
-	return live
-}
+// entries returns the queued entries in order. The slice is valid until
+// the next push or drop.
+func (a *ageQueue) entries() []ageEntry { return a.q[a.head:] }
 
-// drop removes the first n entries of sorted(). The array is compacted
+// drop removes the first n entries. The array is compacted
 // once the head passes half of it, so each entry is moved at most once
 // per time it is queued, amortized.
 func (a *ageQueue) drop(n int) {
@@ -422,7 +418,7 @@ func (fs *FS) Advance(now int64) {
 		return
 	}
 	for {
-		q := fs.ages.sorted()
+		q := fs.ages.entries()
 		if len(q) == 0 {
 			break
 		}
@@ -533,7 +529,7 @@ func (fs *FS) takePending(n int) []blockID {
 		// has a live entry in the queue, so its live entries from the
 		// front are the oldest dirty blocks in (first-dirty time, file,
 		// index) order.
-		q := fs.ages.sorted()
+		q := fs.ages.entries()
 		i := 0
 		for ; i < len(q) && len(batch) < n; i++ {
 			if fs.takeLive(q[i]) {
@@ -552,7 +548,7 @@ func (fs *FS) takePending(n int) []blockID {
 // fs.drain.
 func (fs *FS) takeDirty() []blockID {
 	batch := fs.drain[:0]
-	q := fs.ages.sorted()
+	q := fs.ages.entries()
 	for _, e := range q {
 		if fs.blocks.undirty(e.id) {
 			batch = append(batch, e.id)

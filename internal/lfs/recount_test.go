@@ -15,7 +15,7 @@ import (
 //   - the run table's shape and each file's dirty count (checkRuns), and
 //     no block both dirty and buffered;
 //   - a queued age entry holding every dirty block's (time, block), and
-//     the queue sorted from its head unless a push marked it unsorted;
+//     the queue sorted from its head;
 //   - the free list and the used segments partitioning the disk: free
 //     segments are distinct, on the disk, and hold no live block;
 //   - every segment logged after log position since listing each block
@@ -34,7 +34,7 @@ func checkRecount(fs *FS, since int64) error {
 	}
 	queued := make(map[ageEntry]bool, len(a.q)-a.head)
 	for i := a.head; i < len(a.q); i++ {
-		if i > a.head && !a.unsorted && compareAgeEntries(a.q[i], a.q[i-1]) < 0 {
+		if i > a.head && compareAgeEntries(a.q[i], a.q[i-1]) < 0 {
 			return fmt.Errorf("age queue entry %d %+v sorts before its predecessor %+v", i, a.q[i], a.q[i-1])
 		}
 		queued[a.q[i]] = true
