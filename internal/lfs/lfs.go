@@ -399,9 +399,9 @@ func (a *ageQueue) push(e ageEntry) {
 // the next push or drop.
 func (a *ageQueue) entries() []ageEntry { return a.q[a.head:] }
 
-// drop removes the first n entries. The array is compacted
-// once the head passes half of it, so each entry is moved at most once
-// per time it is queued, amortized.
+// drop removes the first n entries. The array is compacted once the head
+// passes half of it, so a compaction moves fewer entries than the drops
+// since the last one removed.
 func (a *ageQueue) drop(n int) {
 	a.head += n
 	switch {
